@@ -12,7 +12,8 @@ Two subcommands:
     rejection table as CSV or Markdown.
 
 Exit status: 0 on success, 1 when the requested test is degenerate
-(all groups internally constant), 2 on input or configuration errors.
+(all groups internally constant, up to rounding), 2 on input or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"override the master seed (default: ${SEED_ENV_VAR} or the scenario's)")
     sim.add_argument("--out", default=None, help="output file (default: stdout)")
     sim.add_argument("--format", choices=("csv", "md"), default="csv")
-    sim.add_argument("--workers", type=int, default=1, help="worker threads (results identical)")
+    sim.add_argument("--workers", type=int, default=1, help="at least 1; changes nothing")
     return parser
 
 

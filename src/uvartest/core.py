@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DegenerateWithinVariance",
@@ -59,11 +59,12 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateWithinVariance(ValueError):
-    """Raised when every group is internally constant.
+    """Raised when every group is internally constant, up to rounding.
 
-    The pooled within-group variance is then zero, the U statistic has a
-    zero denominator, and neither the normal test nor the F-test has a
-    defined p-value.
+    The pooled within-group variance is then zero, or at the level of
+    floating-point rounding of the values, so the U statistic has a zero or
+    meaningless denominator and neither the normal test nor the F-test has
+    a defined p-value.
     """
 
 
@@ -103,16 +104,24 @@ class Design:
         n = self.n
         return n * (n - 1) // 2
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Group sizes as floats, group start offsets and sqrt(M_n): the
+        statistic kernel's per-design constants, computed once."""
+        sizes = np.asarray(self.group_sizes, dtype=float)
+        offsets = np.cumsum((0,) + self.group_sizes[:-1])
+        return sizes, offsets, math.sqrt(m_n(self))
+
 
 class Dataset:
     """Grouped real-valued observations for a one-way layout.
 
-    Stores both the per-group views and the pooled vector in group order
-    (all of group 1, then group 2, and so on).  Instances are treated as
-    immutable after construction.
+    Stores the pooled vector in group order (all of group 1, then group 2,
+    and so on) and its design; ``groups`` gives per-group views of it.
+    Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("groups", "design", "values")
+    __slots__ = ("design", "values")
 
     def __init__(self, groups: Iterable[Sequence[float]]):
         arrays = tuple(np.asarray(g, dtype=float) for g in groups)
@@ -123,7 +132,6 @@ class Dataset:
         values = np.concatenate(arrays)
         if not np.all(np.isfinite(values)):
             raise ValueError("observations must be finite")
-        self.groups = arrays
         self.design = design
         self.values = values
 
@@ -138,8 +146,12 @@ class Dataset:
         ds = cls.__new__(cls)
         ds.values = values
         ds.design = design
-        ds.groups = tuple(np.split(values, np.cumsum(design.group_sizes)[:-1]))
         return ds
+
+    @property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """Per-group views of the pooled vector, in group order."""
+        return tuple(np.split(self.values, np.cumsum(self.design.group_sizes)[:-1]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset(k={self.design.k}, group_sizes={self.design.group_sizes})"
@@ -199,40 +211,60 @@ class MomentOracle:
     shift: float
 
 
-class _GroupStats(NamedTuple):
-    means: np.ndarray
-    ss_within: np.ndarray  # centered sum of squares per group
-    grand_mean: float
-    sq_between: float  # sum of n_i * (mean_i - grand_mean)^2
+class _Stats(NamedTuple):
+    """Per-row output of :func:`_statistics`; each field has the leading
+    shape of the input (``u_within`` gains a trailing group axis)."""
+
+    u_within: np.ndarray
+    u_pooled: np.ndarray
+    w_n: np.ndarray
+    b_n: np.ndarray
+    j: np.ndarray  # standardized between statistic
+    f: np.ndarray  # ANOVA F statistic
+    sq_between: np.ndarray
+    sq_within: np.ndarray
+    degenerate: np.ndarray  # j and f are undefined where set
 
 
-def _group_stats(values: np.ndarray, design: Design) -> _GroupStats:
-    """Two-pass per-group means and centered sums of squares."""
-    sizes = np.asarray(design.group_sizes, dtype=float)
-    offsets = np.concatenate(([0], np.cumsum(design.group_sizes)[:-1]))
-    sums = np.add.reduceat(values, offsets)
-    means = sums / sizes
-    centered = values - np.repeat(means, design.group_sizes)
-    ss_within = np.add.reduceat(centered * centered, offsets)
-    grand_mean = float(values.sum()) / design.n
+# A row is degenerate when sqrt(W_n) <= _DEGENERACY_ULPS * eps * max|y|.
+# Groups that are constant up to one ulp of their common value have
+# sqrt(W_n) <= sqrt(2) * eps * max|y| exactly, and the corrected sums of
+# squares below compute it exactly; 1e8 + N(0, 1) data sit 1e7 times higher.
+_DEGENERACY_ULPS = 1.5
+_EPS = float(np.finfo(float).eps)
+
+
+def _statistics(values: np.ndarray, design: Design) -> _Stats:
+    """Decomposition, U and F statistics of one pooled vector (shape (n,))
+    or of a stack of them (shape (R, n)).
+
+    Every reduction runs along the last axis and no BLAS product is used,
+    so a row gives bit-identical results whatever stack it sits in.
+    """
+    sizes, offsets, sqrt_m_n = design._layout
+    n, k = design.n, design.k
+    means = np.add.reduceat(values, offsets, axis=-1) / sizes
+    centered = values - np.repeat(means, design.group_sizes, axis=-1)
+    # Corrected two-pass sums of squares (Chan, Golub & LeVeque, 1983): the
+    # drift term removes the rounding error of the group means, so groups
+    # that are constant up to a few ulps get their exact, tiny variance.
+    drift = np.add.reduceat(centered, offsets, axis=-1)
+    ss_within = np.add.reduceat(centered * centered, offsets, axis=-1) - drift * drift / sizes
+    grand_mean = values.sum(axis=-1, keepdims=True) / n
     dev = means - grand_mean
-    sq_between = float(sizes @ (dev * dev))
-    return _GroupStats(means, ss_within, grand_mean, sq_between)
-
-
-def _pooled_decomposition(values: np.ndarray, design: Design) -> Decomposition:
-    """Decomposition straight from a pooled vector (no Dataset overhead)."""
-    sizes = np.asarray(design.group_sizes, dtype=float)
-    n = design.n
-    stats = _group_stats(values, design)
-    u_within = stats.ss_within / (sizes - 1.0)
-    w_n = float(sizes @ u_within) / n
+    sq_between = np.sum(sizes * (dev * dev), axis=-1)
+    sq_within = ss_within.sum(axis=-1)
+    u_within = ss_within / (sizes - 1.0)
+    w_n = np.sum(sizes * u_within, axis=-1) / n
     # Between part from sufficient statistics: combining the pair-mean
     # identity over all group pairs collapses to one weighted contrast.
-    b_n = (n * stats.sq_between - float((n - sizes) @ u_within)) / (n * (n - 1))
-    centered_all = values - stats.grand_mean
-    u_pooled = float(centered_all @ centered_all) / (n - 1)
-    return Decomposition(u_within=u_within, u_pooled=u_pooled, w_n=w_n, b_n=b_n)
+    b_n = (n * sq_between - np.sum((n - sizes) * u_within, axis=-1)) / (n * (n - 1))
+    u_pooled = (sq_within + sq_between) / (n - 1)  # total SS = within SS + between SS
+    degenerate = np.sqrt(w_n) <= _DEGENERACY_ULPS * _EPS * np.abs(values).max(axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        j = design.pair_count() * b_n / (w_n * sqrt_m_n)
+        f = (sq_between / (k - 1)) / (sq_within / (n - k))
+    return _Stats(u_within, u_pooled, w_n, b_n, j, f, sq_between, sq_within, degenerate)
 
 
 def within_u(dataset: Dataset, i: int) -> float:
@@ -263,7 +295,10 @@ def between_pair_u(dataset: Dataset, i: int, i2: int) -> float:
 
 def decompose(dataset: Dataset) -> Decomposition:
     """Split the pooled pairwise variance into within and between parts."""
-    return _pooled_decomposition(dataset.values, dataset.design)
+    st = _statistics(dataset.values, dataset.design)
+    return Decomposition(
+        u_within=st.u_within, u_pooled=float(st.u_pooled), w_n=float(st.w_n), b_n=float(st.b_n)
+    )
 
 
 def m_n(design: Design) -> float:
@@ -359,12 +394,25 @@ def f_sf(x: float, d1: float, d2: float) -> float:
         raise ValueError("F statistic must be nonnegative")
     if d1 <= 0 or d2 <= 0:
         raise ValueError("degrees of freedom must be positive")
+    # Imported on first use: scipy.special is about half of the package's
+    # import time and resident memory, and only the F-test needs it.
+    from scipy import special
+
     return float(special.betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+
+
+def _nondegenerate_statistics(dataset: Dataset) -> _Stats:
+    st = _statistics(dataset.values, dataset.design)
+    if st.degenerate:
+        raise DegenerateWithinVariance(
+            "every group is constant up to rounding; the within-group variance is zero"
+        )
+    return st
 
 
 def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
@@ -384,14 +432,8 @@ def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
     under exchangeability at any size.
     """
     _check_alpha(alpha)
-    dec = decompose(dataset)
-    if dec.w_n == 0.0:
-        raise DegenerateWithinVariance(
-            "all groups are internally constant; the within-group variance is zero"
-        )
-    design = dataset.design
-    mn = m_n(design)
-    stat = design.pair_count() * dec.b_n / (dec.w_n * math.sqrt(mn))
+    st = _nondegenerate_statistics(dataset)
+    stat, w_n, b_n = float(st.j), float(st.w_n), float(st.b_n)
     p = normal_sf(stat)
     return TestResult(
         method="U",
@@ -399,7 +441,7 @@ def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
         p_value=p,
         reject=p <= alpha,
         alpha=alpha,
-        extras={"w_n": dec.w_n, "b_n": dec.b_n, "m_n": mn},
+        extras={"w_n": w_n, "b_n": b_n, "m_n": m_n(dataset.design)},
     )
 
 
@@ -410,16 +452,9 @@ def f_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
     central F distribution with (k - 1, n - k) degrees of freedom.
     """
     _check_alpha(alpha)
-    design = dataset.design
-    stats = _group_stats(dataset.values, design)
-    sq_within = float(stats.ss_within.sum())
-    if sq_within == 0.0:
-        raise DegenerateWithinVariance(
-            "all groups are internally constant; the within-group sum of squares is zero"
-        )
-    k, n = design.k, design.n
-    d1, d2 = float(k - 1), float(n - k)
-    stat = (stats.sq_between / d1) / (sq_within / d2)
+    st = _nondegenerate_statistics(dataset)
+    stat, sq_between, sq_within = float(st.f), float(st.sq_between), float(st.sq_within)
+    d1, d2 = float(dataset.design.k - 1), float(dataset.design.n - dataset.design.k)
     p = f_sf(stat, d1, d2)
     return TestResult(
         method="F",
@@ -428,7 +463,7 @@ def f_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
         reject=p <= alpha,
         alpha=alpha,
         df=(d1, d2),
-        extras={"sq_between": stats.sq_between, "sq_within": sq_within},
+        extras={"sq_between": sq_between, "sq_within": sq_within},
     )
 
 

@@ -5,9 +5,8 @@ A scenario bundles design generators, noise specifications, a grid of
 between-group variances and a seed.  Running it produces a rejection table:
 one row per (design cell, grid value, method) with the empirical rejection
 rate and its Monte Carlo standard error.  Replicates are seeded
-individually from (seed, cell index, grid index, replicate index), so
-results are bit-identical regardless of how many worker threads execute
-them.
+individually from (seed, cell index, grid index, replicate index), so every
+run of a scenario gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import csv
 import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -27,9 +25,8 @@ from .core import (
     DegenerateWithinVariance,
     Design,
     TestResult,
-    _pooled_decomposition,
+    _statistics,
     f_test,
-    m_n,
     u_test,
 )
 from .randgen import (
@@ -60,6 +57,9 @@ __all__ = [
 METHODS = ("U", "F", "PERM")
 
 _EXHAUSTIVE_LIMIT = 200_000
+# Permuted vectors are evaluated in stacks of at most this many values, which
+# bounds the memory of one kernel call.
+_CHUNK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -219,15 +219,6 @@ def mc_se(rate: float, n: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / n)
 
 
-def _jn_statistic(values: np.ndarray, design: Design, mn_sqrt: float, pairs: int):
-    """Standardized between-component of a pooled vector, or None if the
-    within-group variance vanishes."""
-    dec = _pooled_decomposition(values, design)
-    if dec.w_n == 0.0:
-        return None
-    return pairs * dec.b_n / (dec.w_n * mn_sqrt)
-
-
 def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]:
     """All ordered splits of positions 0..n-1 into groups of the given sizes,
     yielded as index tuples in group order."""
@@ -260,15 +251,16 @@ def permutation_pvalue(
     sizes; the p-value is (1 + #{permuted statistic >= observed}) divided
     by (number of permutations + 1).  With ``exhaustive=True`` every
     distinct assignment is enumerated instead (the observed one included)
-    and ``n_perm``/``seed`` are ignored.  Permutations with zero
-    within-group variance never count as exceedances.
+    and ``n_perm``/``seed`` are ignored.  A permuted statistic within a
+    relative 1e-9 of the observed one counts as a tie, and so as an
+    exceedance: equivalent assignments (within-group reorders, relabelled
+    equal-size groups) give the same statistic in exact arithmetic but not
+    always in floating point.  Permutations with degenerate within-group
+    variance never count as exceedances.
     """
     observed = u_test(dataset, alpha)  # raises DegenerateWithinVariance if undefined
     j_obs = observed.statistic
     design = dataset.design
-    values = dataset.values
-    mn_sqrt = math.sqrt(m_n(design))
-    pairs = design.pair_count()
 
     if exhaustive:
         total = math.factorial(design.n)
@@ -279,11 +271,7 @@ def permutation_pvalue(
                 f"{total} distinct assignments exceed the exhaustive limit "
                 f"({_EXHAUSTIVE_LIMIT}); use random permutations instead"
             )
-        exceed = 0
-        for assignment in _iter_assignments(design.n, design.group_sizes):
-            j = _jn_statistic(values[np.array(assignment)], design, mn_sqrt, pairs)
-            if j is not None and j >= j_obs:
-                exceed += 1
+        assignments = _iter_assignments(design.n, design.group_sizes)
         used = total
     else:
         if n_perm is None or n_perm < 1:
@@ -291,12 +279,15 @@ def permutation_pvalue(
         if seed is None:
             raise ValueError("a seed is required for random permutations")
         rng = seed.generator() if isinstance(seed, SeedSpec) else seed
-        exceed = 0
-        for _ in range(n_perm):
-            j = _jn_statistic(values[rng.permutation(design.n)], design, mn_sqrt, pairs)
-            if j is not None and j >= j_obs:
-                exceed += 1
+        assignments = (rng.permutation(design.n) for _ in range(n_perm))
         used = n_perm
+
+    threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
+    rows = max(1, _CHUNK_VALUES // design.n)
+    exceed = 0
+    while chunk := list(itertools.islice(assignments, rows)):
+        st = _statistics(dataset.values[np.array(chunk)], design)
+        exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
 
     p = (1.0 + exceed) / (used + 1.0)
     return TestResult(
@@ -317,73 +308,46 @@ def _run_method(method: str, ds: Dataset, spec: ScenarioSpec, rng) -> TestResult
     return permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
 
 
-def _replicate_block(
-    spec: ScenarioSpec,
-    gen: DesignGen,
-    fixed_design: Design | None,
-    cell_index: int,
-    grid_index: int,
-    b_spec: NoiseSpec,
-    r_start: int,
-    r_stop: int,
-) -> tuple[dict[str, int], dict[str, int]]:
-    rejections = dict.fromkeys(spec.methods, 0)
-    degenerate = dict.fromkeys(spec.methods, 0)
-    for r in range(r_start, r_stop):
-        rng = spec.seed.generator(cell_index, grid_index, r)
-        design = fixed_design if fixed_design is not None else gen_design(gen, rng)
-        b = sample_noise(b_spec, design.k, rng)
-        e = sample_noise(spec.e_spec, design.n, rng)
-        y = spec.mu + np.repeat(b, design.group_sizes) + e
-        ds = Dataset.from_values(y, design)
-        for method in spec.methods:
-            try:
-                result = _run_method(method, ds, spec, rng)
-            except DegenerateWithinVariance:
-                degenerate[method] += 1
-            else:
-                if result.reject:
-                    rejections[method] += 1
-    return rejections, degenerate
-
-
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     """Run every (design cell, grid value) of the scenario.
 
-    ``workers`` sets the number of threads; the result is identical for any
-    value because each replicate owns a derived seed and aggregation is
-    plain counting.
+    ``workers`` must be at least 1.  It changes neither the result nor how
+    the run executes: replicates run one after another in this process,
+    each from its own derived seed.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     cells: list[RejectionCell] = []
     diagnostics: dict[tuple[str, int, str, float, str], int] = {}
-    n_blocks = workers * 4 if workers > 1 else 1
-    bounds = np.linspace(0, spec.replicates, n_blocks + 1).astype(int)
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for cell_index, gen in enumerate(spec.design_gens):
-            fixed_design = (
-                None
-                if spec.redraw_design_per_replicate
-                else gen_design(gen, spec.seed.generator(cell_index))
-            )
-            for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
-                b_spec = spec.b_spec.with_variance(sigma_b2)
-                blocks = [
-                    (spec, gen, fixed_design, cell_index, grid_index, b_spec, int(r0), int(r1))
-                    for r0, r1 in zip(bounds[:-1], bounds[1:])
-                    if r1 > r0
-                ]
-                if executor is None:
-                    results = [_replicate_block(*args) for args in blocks]
-                else:
-                    results = list(executor.map(lambda a: _replicate_block(*a), blocks))
+    for cell_index, gen in enumerate(spec.design_gens):
+        fixed_design = (
+            None
+            if spec.redraw_design_per_replicate
+            else gen_design(gen, spec.seed.generator(cell_index))
+        )
+        for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
+            b_spec = spec.b_spec.with_variance(sigma_b2)
+            rejections = dict.fromkeys(spec.methods, 0)
+            degenerate = dict.fromkeys(spec.methods, 0)
+            for r in range(spec.replicates):
+                rng = spec.seed.generator(cell_index, grid_index, r)
+                design = fixed_design if fixed_design is not None else gen_design(gen, rng)
+                b = sample_noise(b_spec, design.k, rng)
+                e = sample_noise(spec.e_spec, design.n, rng)
+                y = spec.mu + np.repeat(b, design.group_sizes) + e
+                ds = Dataset.from_values(y, design)
                 for method in spec.methods:
-                    rejected = sum(r[0][method] for r in results)
-                    degen = sum(r[1][method] for r in results)
-                    rate = rejected / spec.replicates
-                    cell = RejectionCell(
+                    try:
+                        result = _run_method(method, ds, spec, rng)
+                    except DegenerateWithinVariance:
+                        degenerate[method] += 1
+                    else:
+                        if result.reject:
+                            rejections[method] += 1
+            for method in spec.methods:
+                rate = rejections[method] / spec.replicates
+                cells.append(
+                    RejectionCell(
                         scenario=spec.name,
                         k=gen.k,
                         design=gen.label,
@@ -393,13 +357,10 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
                         se=mc_se(rate, spec.replicates),
                         replicates=spec.replicates,
                     )
-                    cells.append(cell)
-                    if degen:
-                        key = (spec.name, gen.k, gen.label, sigma_b2, method)
-                        diagnostics[key] = degen
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                )
+                if degenerate[method]:
+                    key = (spec.name, gen.k, gen.label, sigma_b2, method)
+                    diagnostics[key] = degenerate[method]
     return RejectionTable(cells=tuple(cells), degenerate=diagnostics)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +93,64 @@ def anova_f(groups) -> tuple[float, float, float]:
     sq_b = sum(g.size * (g.mean() - grand) ** 2 for g in groups)
     sq_e = sum(((g - g.mean()) ** 2).sum() for g in groups)
     return (sq_b / (k - 1)) / (sq_e / (n - k)), sq_b, sq_e
+
+
+def exact_between_within(values, sizes) -> tuple[Fraction, Fraction]:
+    """(B_n, W_n) in exact rational arithmetic from the pair definitions:
+    W_n is the size-weighted mean of the within-group pair means and B_n the
+    pooled pair mean minus W_n.  Every float converts to a Fraction exactly;
+    small multiples of a power of two keep the float path exact as well, so
+    the two can be compared."""
+    exact = [Fraction(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in exact))
+    x = [int(f * scale) for f in exact]  # integer pair sums, one division each
+    n = len(x)
+
+    def pair_mean(sample):
+        pairs = list(itertools.combinations(sample, 2))
+        return Fraction(sum((a - b) ** 2 for a, b in pairs), 2 * len(pairs) * scale * scale)
+
+    w_n = Fraction(0)
+    start = 0
+    for size in sizes:
+        w_n += size * pair_mean(x[start : start + size])
+        start += size
+    w_n /= n
+    return pair_mean(x) - w_n, w_n
+
+
+def exact_permutation_pvalue(values, sizes, assignments=None) -> Fraction:
+    """Permutation p-value (1 + #{J >= J_obs}) / (count + 1) in exact
+    arithmetic.  J = C(n,2) B_n / (W_n sqrt(M_n)) and sqrt(M_n) depends only
+    on the design, so J >= J_obs exactly when B / W >= B_obs / W_obs.
+    The observed W_n must be positive; assignments with W_n = 0 never
+    count.  ``assignments`` is a sequence of
+    index sequences (the pooled order of each rearrangement); when omitted,
+    every distinct split of the positions into groups of the given sizes is
+    enumerated, the observed one included."""
+    values = list(values)
+    sizes = list(sizes)
+    n = len(values)
+    if assignments is None:
+
+        def splits(remaining, rest_sizes):
+            if not rest_sizes:
+                yield []
+                return
+            for combo in itertools.combinations(remaining, rest_sizes[0]):
+                left = [i for i in remaining if i not in combo]
+                for tail in splits(left, rest_sizes[1:]):
+                    yield list(combo) + tail
+
+        assignments = list(splits(list(range(n)), sizes))
+    b_obs, w_obs = exact_between_within(values, sizes)
+    ratio_obs = b_obs / w_obs
+    exceed = 0
+    for index in assignments:
+        b, w = exact_between_within([values[i] for i in index], sizes)
+        if w > 0 and b / w >= ratio_obs:
+            exceed += 1
+    return Fraction(1 + exceed, len(assignments) + 1)
 
 
 def random_corpus(seed: int, count: int, max_k: int = 12, max_size: int = 10):

@@ -226,6 +226,15 @@ def test_criterion_4_table1_cells(table1_cells_run):
         rate = rates[key]
         if abs(rate - target) > _band(target):
             failures.append(f"{key}: {rate:.4f} vs {target} +-{_band(target):.4f}")
+    # The null cells have normal errors and balanced designs, so J = a(F - 1)
+    # and the exact size is F_{k-1,n-k}.sf(1 + z_0.05 / a) (see criterion 6).
+    for k, m in ((100, 10), (10, 2)):
+        a = _balanced_null_scale(k, m)
+        exact = float(stats.f.sf(1.0 + Z_ALPHA / a, k - 1, k * m - k))
+        rate = rates[(k, f"balanced(m={m})", 0.0)]
+        tol = 3.0 * mc_se(exact, 10_000)
+        if abs(rate - exact) > tol:
+            failures.append(f"k={k} m={m} null: {rate:.4f} vs exact size {exact:.4f} +-{tol:.4f}")
     detail = ", ".join(f"k={k} s={s:g}: {rates[(k, d, s)]:.3f}" for (k, d, s), _ in checks)
     _finish(4, "first study-table reproduction", failures, detail)
 

@@ -128,6 +128,16 @@ class TestCmdTest:
         assert code == EXIT_DEGENERATE
         assert "constant" in err
 
+    def test_roundoff_constant_groups_exit_1(self, tmp_path, capsys):
+        # [[0.3, 0.1 + 0.2], [1, 1]]: constant groups up to one ulp
+        path = tmp_path / "roundoff.csv"
+        path.write_text(f"treatment,value\na,0.3\na,{0.1 + 0.2!r}\nb,1\nb,1\n")
+        for method in ("u", "f", "both", "perm"):
+            code, out, err = _run(capsys, "test", str(path), "--method", method)
+            assert code == EXIT_DEGENERATE, method
+            assert out == ""
+            assert "constant" in err
+
     def test_singleton_treatment_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("treatment,value\na,1\na,2\nb,3\n")

@@ -424,6 +424,52 @@ class TestFTest:
         assert scaled == pytest.approx(base, rel=1e-6, abs=1e-6)
 
 
+class TestDegeneracy:
+    """Within variance at the level of float rounding is degenerate for
+    every test, not a tiny denominator that inflates the statistic."""
+
+    def test_roundoff_in_constant_groups_raises(self):
+        from uvartest.simlab import permutation_pvalue
+
+        # 0.1 + 0.2 is one ulp above 0.3, so W_n is about 1.5e-33
+        ds = Dataset([[0.3, 0.1 + 0.2], [1, 1]])
+        with pytest.raises(DegenerateWithinVariance):
+            u_test(ds)
+        with pytest.raises(DegenerateWithinVariance):
+            f_test(ds)
+        with pytest.raises(DegenerateWithinVariance):
+            permutation_pvalue(ds, 19, np.random.default_rng(0))
+
+    def test_large_offset_is_not_degenerate(self):
+        rng = np.random.default_rng(8)
+        ds = Dataset(1e8 + rng.standard_normal((10, 3)))
+        assert math.isfinite(u_test(ds).statistic)
+        assert math.isfinite(f_test(ds).statistic)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+                st.lists(st.sampled_from((-1, 0, 1)), min_size=2, max_size=8),
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_groups_constant_up_to_one_ulp_are_degenerate(self, spec):
+        # group i holds c_i, some entries moved one ulp down or up
+        groups = [
+            [c if step == 0 else float(np.nextafter(c, step * math.inf)) for step in steps]
+            for c, steps in spec
+        ]
+        ds = Dataset(groups)
+        with pytest.raises(DegenerateWithinVariance):
+            u_test(ds)
+        with pytest.raises(DegenerateWithinVariance):
+            f_test(ds)
+
+
 class TestNormalSf:
     def test_symmetry_point(self):
         assert normal_sf(0.0) == 0.5

@@ -22,6 +22,8 @@ from uvartest.simlab import (
     scenario_from_dict,
 )
 
+from oracles import exact_permutation_pvalue
+
 _NORMAL = NoiseSpec(NoiseFamily.NORMAL, 1.0)
 
 
@@ -86,6 +88,10 @@ class TestRunScenario:
         t1 = run_scenario(spec, workers=1)
         t3 = run_scenario(spec, workers=3)
         assert t1.cells == t3.cells
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_scenario(_tiny_scenario(replicates=1), workers=0)
 
     def test_cell_layout(self):
         table = run_scenario(_tiny_scenario())
@@ -247,6 +253,47 @@ class TestPermutation:
         res = permutation_pvalue(Dataset(groups), 49, SeedSpec(3))
         assert res.p_value == pytest.approx(1 / 50.0, rel=1e-12)
         assert res.reject
+
+
+def _dyadic_datasets(count: int, seed: int):
+    """Small datasets of multiples of 1/8 (exact in binary), k in {2, 3},
+    group sizes 2 or 3, with few distinct values so that ties are common;
+    datasets whose groups are all constant are skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        sizes = rng.integers(2, 4, size=int(rng.integers(2, 4)))
+        groups = [(rng.integers(-6, 7, size=m) / 8.0).tolist() for m in sizes]
+        if any(len(set(g)) > 1 for g in groups):
+            out.append(Dataset(groups))
+    return out
+
+
+class TestPermutationTies:
+    """Assignments equivalent to the observed one (within-group reorders,
+    relabelled equal-size groups) tie with it in exact arithmetic and must
+    count as exceedances, however roundoff orders their computed values."""
+
+    def test_exhaustive_matches_exact_oracle(self):
+        wrong = []
+        for i, ds in enumerate(_dyadic_datasets(100, seed=31)):
+            exact = exact_permutation_pvalue(ds.values.tolist(), ds.design.group_sizes)
+            p = permutation_pvalue(ds, exhaustive=True).p_value
+            if p != pytest.approx(float(exact), rel=1e-12):
+                wrong.append(f"{i}: {p} vs {exact}")
+        assert not wrong, wrong
+
+    def test_random_mode_matches_exact_oracle(self):
+        wrong = []
+        for i, ds in enumerate(_dyadic_datasets(60, seed=32)):
+            # replay the permutations the library draws from the same stream
+            rng = SeedSpec(i).generator()
+            perms = [rng.permutation(ds.design.n).tolist() for _ in range(49)]
+            exact = exact_permutation_pvalue(ds.values.tolist(), ds.design.group_sizes, perms)
+            p = permutation_pvalue(ds, 49, SeedSpec(i)).p_value
+            if p != pytest.approx(float(exact), rel=1e-12):
+                wrong.append(f"{i}: {p} vs {exact}")
+        assert not wrong, wrong
 
 
 class TestPresets:
