@@ -112,6 +112,12 @@ class Design:
         offsets = np.cumsum((0,) + self.group_sizes[:-1])
         return sizes, offsets, math.sqrt(m_n(self))
 
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """Group sizes as an integer array: ``np.repeat`` spreads per-group
+        values over the observations faster with it than with the tuple."""
+        return np.asarray(self.group_sizes)
+
 
 class Dataset:
     """Grouped real-valued observations for a one-way layout.
@@ -226,12 +232,17 @@ class _Stats(NamedTuple):
     degenerate: np.ndarray  # j and f are undefined where set
 
 
-# A row is degenerate when sqrt(W_n) <= _DEGENERACY_ULPS * eps * max|y|.
-# Groups that are constant up to one ulp of their common value have
-# sqrt(W_n) <= sqrt(2) * eps * max|y| exactly, and the corrected sums of
-# squares below compute it exactly; 1e8 + N(0, 1) data sit 1e7 times higher.
+# A row is degenerate when sqrt(W_n) <= _DEGENERACY_ULPS * eps * max(max|y|, tiny),
+# tiny the smallest normal float.  One ulp of any value c is at most
+# eps * max(|c|, tiny), subnormal c included, so groups that are constant up
+# to one ulp of their common value have sqrt(W_n) <= sqrt(2) * eps * max(max|y|,
+# tiny) exactly, and the corrected sums of squares below compute it exactly;
+# 1e8 + N(0, 1) data sit 1e7 times higher.
 _DEGENERACY_ULPS = 1.5
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Rows with max|y| inside [1 / _SAFE_PEAK, _SAFE_PEAK] are squared as they are.
+_SAFE_PEAK = 2.0**256
 
 
 def _statistics(values: np.ndarray, design: Design) -> _Stats:
@@ -240,11 +251,26 @@ def _statistics(values: np.ndarray, design: Design) -> _Stats:
 
     Every reduction runs along the last axis and no BLAS product is used,
     so a row gives bit-identical results whatever stack it sits in.
+
+    Values anywhere in the float range give defined statistics: when some
+    row's max|y| lies outside [2**-256, 2**256], where squares could
+    overflow or underflow, each row is scaled by the power of two 2**-e that
+    brings max(max|y|, tiny) into [0.5, 1) before anything is squared, and
+    the sums of squares are scaled back by 2**(2e).  Scaling by a power of
+    two is exact, so J, F and the degeneracy flag are those of the
+    unscaled rows.
     """
     sizes, offsets, sqrt_m_n = design._layout
     n, k = design.n, design.k
+    # peak stands for max(max|y|, tiny), scaled with the rows; rows left
+    # unscaled have max|y| >= 2**-256 > tiny.
+    peak = np.abs(values).max(axis=-1)
+    exponent = None
+    if peak.min() < 1.0 / _SAFE_PEAK or peak.max() > _SAFE_PEAK:
+        peak, exponent = np.frexp(np.maximum(peak, _TINY))
+        values = np.ldexp(values, -exponent[..., None])
     means = np.add.reduceat(values, offsets, axis=-1) / sizes
-    centered = values - np.repeat(means, design.group_sizes, axis=-1)
+    centered = values - np.repeat(means, design._counts, axis=-1)
     # Corrected two-pass sums of squares (Chan, Golub & LeVeque, 1983): the
     # drift term removes the rounding error of the group means, so groups
     # that are constant up to a few ulps get their exact, tiny variance.
@@ -260,10 +286,15 @@ def _statistics(values: np.ndarray, design: Design) -> _Stats:
     # identity over all group pairs collapses to one weighted contrast.
     b_n = (n * sq_between - np.sum((n - sizes) * u_within, axis=-1)) / (n * (n - 1))
     u_pooled = (sq_within + sq_between) / (n - 1)  # total SS = within SS + between SS
-    degenerate = np.sqrt(w_n) <= _DEGENERACY_ULPS * _EPS * np.abs(values).max(axis=-1)
+    degenerate = np.sqrt(w_n) <= _DEGENERACY_ULPS * _EPS * peak
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         j = design.pair_count() * b_n / (w_n * sqrt_m_n)
         f = (sq_between / (k - 1)) / (sq_within / (n - k))
+        if exponent is not None:
+            u_within = np.ldexp(u_within, 2 * exponent[..., None])
+            u_pooled, w_n, b_n, sq_between, sq_within = (
+                np.ldexp(x, 2 * exponent) for x in (u_pooled, w_n, b_n, sq_between, sq_within)
+            )
     return _Stats(u_within, u_pooled, w_n, b_n, j, f, sq_between, sq_within, degenerate)
 
 

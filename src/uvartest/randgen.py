@@ -14,6 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
 _UINT64_MAX = 2**64 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeedSpec:
     """Root of a family of independent, reproducible random streams."""
 
@@ -201,7 +202,7 @@ class Balanced:
         if self.m < 2:
             raise ValueError("need at least 2 observations per group")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"balanced(m={self.m})"
 
@@ -226,7 +227,7 @@ class ShiftedGeometric:
         if self.shift < 2:
             raise ValueError("shift must be at least 2 to keep groups testable")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"geometric(p={self.p})+{self.shift}"
 
@@ -247,7 +248,7 @@ class UniformSizes:
         if self.hi < self.lo:
             raise ValueError("hi must be at least lo")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"uniform({self.lo}..{self.hi})"
 

@@ -4,9 +4,10 @@ tests, plus permutation calibration of the normal-calibrated statistic.
 A scenario bundles design generators, noise specifications, a grid of
 between-group variances and a seed.  Running it produces a rejection table:
 one row per (design cell, grid value, method) with the empirical rejection
-rate and its Monte Carlo standard error.  Replicates are seeded
-individually from (seed, cell index, grid index, replicate index), so every
-run of a scenario gives bit-identical results.
+rate and its Monte Carlo standard error.  Replicates are drawn one by one,
+each from its own stream seeded by (seed, cell index, grid index, replicate
+index), and evaluated in blocks: one statistic-kernel call per block of a
+fixed design.  Every run of a scenario gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,7 +28,8 @@ from .core import (
     Design,
     TestResult,
     _statistics,
-    f_test,
+    f_sf,
+    normal_sf,
     u_test,
 )
 from .randgen import (
@@ -57,12 +60,15 @@ __all__ = [
 METHODS = ("U", "F", "PERM")
 
 _EXHAUSTIVE_LIMIT = 200_000
-# Permuted vectors are evaluated in stacks of at most this many values, which
-# bounds the memory of one kernel call.
+# Permuted vectors and simulated replicates are evaluated in stacks of at most
+# this many values, which bounds the memory of one kernel call.
 _CHUNK_VALUES = 2**16
+# Shared by every table without degenerate replicates, so a table costs no
+# dict of its own.
+_NO_DEGENERATE: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioSpec:
     """Full configuration of one simulation study.
 
@@ -107,7 +113,7 @@ class ScenarioSpec:
             raise ValueError("n_perm must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectionCell:
     """One rejection rate: a (scenario, design cell, grid value, method)."""
 
@@ -124,7 +130,7 @@ class RejectionCell:
 _CSV_COLUMNS = ("scenario", "k", "design", "sigma_b2", "method", "rate", "se", "replicates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectionTable:
     """Rejection rates of a study, with CSV and Markdown serialization.
 
@@ -300,20 +306,31 @@ def permutation_pvalue(
     )
 
 
-def _run_method(method: str, ds: Dataset, spec: ScenarioSpec, rng) -> TestResult:
-    if method == "U":
-        return u_test(ds, spec.alpha)
-    if method == "F":
-        return f_test(ds, spec.alpha)
-    return permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
+def _draw(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, design: Design | None, path):
+    """One replicate from its own stream: the design (unless fixed), the group
+    effects b, then the errors e.  Returns the design, the pooled vector and
+    the stream, which PERM goes on drawing from."""
+    rng = spec.seed.generator(*path)
+    if design is None:
+        design = gen_design(gen, rng)
+    b = sample_noise(b_spec, design.k, rng)
+    e = sample_noise(spec.e_spec, design.n, rng)
+    return design, spec.mu + np.repeat(b, design._counts) + e, rng
 
 
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     """Run every (design cell, grid value) of the scenario.
 
+    Replicates are drawn one by one, each from its own derived stream, and
+    evaluated in blocks: the replicates of a fixed design are stacked into
+    blocks of at most 2**16 values and every block goes through the
+    statistic kernel in one call; a redrawn design makes a block of one
+    replicate.  PERM runs once per replicate on that replicate's stream.
+    The rejection decisions are those of ``u_test``, ``f_test`` and
+    ``permutation_pvalue`` on each replicate.
+
     ``workers`` must be at least 1.  It changes neither the result nor how
-    the run executes: replicates run one after another in this process,
-    each from its own derived seed.
+    the run executes: everything runs in this process.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -325,25 +342,42 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
             if spec.redraw_design_per_replicate
             else gen_design(gen, spec.seed.generator(cell_index))
         )
+        rows = 1 if fixed_design is None else max(1, _CHUNK_VALUES // fixed_design.n)
         for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
             degenerate = dict.fromkeys(spec.methods, 0)
-            for r in range(spec.replicates):
-                rng = spec.seed.generator(cell_index, grid_index, r)
-                design = fixed_design if fixed_design is not None else gen_design(gen, rng)
-                b = sample_noise(b_spec, design.k, rng)
-                e = sample_noise(spec.e_spec, design.n, rng)
-                y = spec.mu + np.repeat(b, design.group_sizes) + e
-                ds = Dataset.from_values(y, design)
+            for start in range(0, spec.replicates, rows):
+                block = [
+                    _draw(spec, gen, b_spec, fixed_design, (cell_index, grid_index, r))
+                    for r in range(start, min(start + rows, spec.replicates))
+                ]
+                design = block[0][0]
+                # A single row goes to the kernel as a vector: cheaper than (1, n).
+                values = block[0][1] if len(block) == 1 else np.stack([y for _, y, _ in block])
+                if not np.all(np.isfinite(values)):
+                    raise ValueError("observations must be finite")
+                st = _statistics(values, design)
+                flags = np.reshape(st.degenerate, -1).tolist()
+                d1, d2 = float(design.k - 1), float(design.n - design.k)
                 for method in spec.methods:
-                    try:
-                        result = _run_method(method, ds, spec, rng)
-                    except DegenerateWithinVariance:
-                        degenerate[method] += 1
-                    else:
-                        if result.reject:
-                            rejections[method] += 1
+                    if method == "PERM":
+                        for _, y, rng in block:
+                            ds = Dataset.from_values(y, design)
+                            try:
+                                result = permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
+                            except DegenerateWithinVariance:
+                                degenerate[method] += 1
+                            else:
+                                rejections[method] += result.reject
+                        continue
+                    stats = np.reshape(st.j if method == "U" else st.f, -1).tolist()
+                    for flag, stat in zip(flags, stats):
+                        if flag:
+                            degenerate[method] += 1
+                        else:
+                            p = normal_sf(stat) if method == "U" else f_sf(stat, d1, d2)
+                            rejections[method] += p <= spec.alpha
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(
@@ -361,7 +395,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
                 if degenerate[method]:
                     key = (spec.name, gen.k, gen.label, sigma_b2, method)
                     diagnostics[key] = degenerate[method]
-    return RejectionTable(cells=tuple(cells), degenerate=diagnostics)
+    return RejectionTable(cells=tuple(cells), degenerate=diagnostics or _NO_DEGENERATE)
 
 
 # --------------------------------------------------------------------------

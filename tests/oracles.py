@@ -2,7 +2,9 @@
 
 Everything here is computed straight from definitions (explicit pair
 enumeration, O(n^2) or worse) with no reuse of the library's fast paths, so
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology.  The one exception is
+``reference_run_scenario``: the simulation engine as a plain loop over
+replicates and the public tests, against which the batched engine is held.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from uvartest.core import Dataset, DegenerateWithinVariance, f_test, u_test
+from uvartest.randgen import gen_design, sample_noise
+from uvartest.simlab import RejectionCell, mc_se, permutation_pvalue
 
 
 def pair_kernel_mean(x) -> float:
@@ -182,3 +188,44 @@ def random_corpus(seed: int, count: int, max_k: int = 12, max_size: int = 10):
         if max(abs(v) for v in flat) <= 1000.0:
             corpus.append(groups)
     return corpus
+
+
+def reference_run_scenario(spec):
+    """(cells, degenerate) of a scenario from the plain per-replicate loop:
+    each replicate drawn from its own stream as the engine draws it, then
+    one ``Dataset`` and one call of ``u_test``, ``f_test`` or
+    ``permutation_pvalue`` per method, in the order the methods are listed."""
+    cells, degenerate = [], {}
+    for cell_index, gen in enumerate(spec.design_gens):
+        fixed = None if spec.redraw_design_per_replicate else gen_design(gen, spec.seed.generator(cell_index))
+        for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
+            b_spec = spec.b_spec.with_variance(sigma_b2)
+            rejected = dict.fromkeys(spec.methods, 0)
+            undefined = dict.fromkeys(spec.methods, 0)
+            for r in range(spec.replicates):
+                rng = spec.seed.generator(cell_index, grid_index, r)
+                design = fixed if fixed is not None else gen_design(gen, rng)
+                b = sample_noise(b_spec, design.k, rng)
+                e = sample_noise(spec.e_spec, design.n, rng)
+                ds = Dataset.from_values(spec.mu + np.repeat(b, design.group_sizes) + e, design)
+                for method in spec.methods:
+                    try:
+                        if method == "U":
+                            result = u_test(ds, spec.alpha)
+                        elif method == "F":
+                            result = f_test(ds, spec.alpha)
+                        else:
+                            result = permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
+                    except DegenerateWithinVariance:
+                        undefined[method] += 1
+                    else:
+                        rejected[method] += result.reject
+            for method in spec.methods:
+                rate = rejected[method] / spec.replicates
+                cells.append(
+                    RejectionCell(spec.name, gen.k, gen.label, sigma_b2, method, rate,
+                                  mc_se(rate, spec.replicates), spec.replicates)
+                )
+                if undefined[method]:
+                    degenerate[(spec.name, gen.k, gen.label, sigma_b2, method)] = undefined[method]
+    return tuple(cells), degenerate

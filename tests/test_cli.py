@@ -138,6 +138,17 @@ class TestCmdTest:
             assert out == ""
             assert "constant" in err
 
+    def test_values_near_the_float_limit_exit_0(self, tmp_path, capsys):
+        # squaring 1e200 overflows unless the data are scaled first
+        path = tmp_path / "huge.csv"
+        path.write_text("treatment,value\na,1e200\na,2e200\nb,3e200\nb,1e200\n")
+        for method in ("u", "f", "both", "perm"):
+            code, out, _ = _run(capsys, "test", str(path), "--method", method)
+            assert code == EXIT_OK, method
+            reports = json.loads(out)
+            for report in reports if isinstance(reports, list) else [reports]:
+                assert 0.0 <= report["p_value"] <= 1.0
+
     def test_singleton_treatment_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("treatment,value\na,1\na,2\nb,3\n")

@@ -470,6 +470,29 @@ class TestDegeneracy:
             f_test(ds)
 
 
+class TestPowerOfTwoScaling:
+    """The kernel scales each row by a power of two before squaring, so data
+    far from 1 in magnitude neither overflow nor underflow, and U and F are
+    exactly scale invariant."""
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_statistics_equal_those_of_unscaled_data(self, power):
+        rng = np.random.default_rng(5)
+        for sizes in ((2, 2), (3, 5, 4), (6,) * 10):
+            groups = [rng.standard_normal(m) + rng.standard_normal() for m in sizes]
+            ds = Dataset(groups)
+            scaled = Dataset([np.ldexp(g, power) for g in groups])
+            for test in (u_test, f_test):
+                assert test(scaled).statistic == test(ds).statistic
+                assert test(scaled).p_value == test(ds).p_value
+
+    def test_values_near_the_float_limit_give_a_result(self):
+        ds = Dataset([[1e200, 2e200], [3e200, 1e200]])
+        same = Dataset([[1.0, 2.0], [3.0, 1.0]])
+        assert u_test(ds).p_value == pytest.approx(u_test(same).p_value, rel=1e-12)
+        assert f_test(ds).p_value == pytest.approx(f_test(same).p_value, rel=1e-12)
+
+
 class TestNormalSf:
     def test_symmetry_point(self):
         assert normal_sf(0.0) == 0.5

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from uvartest.core import Dataset, DegenerateWithinVariance, u_test
-from uvartest.randgen import Balanced, NoiseFamily, NoiseSpec, SeedSpec, ShiftedGeometric
+from uvartest.randgen import (
+    Balanced,
+    NoiseFamily,
+    NoiseSpec,
+    SeedSpec,
+    ShiftedGeometric,
+    UniformSizes,
+)
 from uvartest.simlab import (
     PRESET_NAMES,
     RejectionTable,
@@ -22,7 +29,7 @@ from uvartest.simlab import (
     scenario_from_dict,
 )
 
-from oracles import exact_permutation_pvalue
+from oracles import exact_permutation_pvalue, reference_run_scenario
 
 _NORMAL = NoiseSpec(NoiseFamily.NORMAL, 1.0)
 
@@ -146,6 +153,44 @@ class TestRunScenario:
         t2 = run_scenario(spec, workers=2)
         assert t1.cells == t2.cells
         assert 0.0 <= t1.cells[0].rate <= 0.3
+
+
+class TestBatchedEngine:
+    """run_scenario evaluates replicates in blocks; every rate and every
+    degenerate count must equal those of the per-replicate reference loop."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # n = 1000: blocks of 65, 65 and 20 replicates
+            dict(design_gens=(Balanced(100, 10),), replicates=150, sigma_b2_grid=(0.0, 0.05)),
+            dict(
+                design_gens=(ShiftedGeometric(5, 0.15, 2), UniformSizes(4, 2, 6)),
+                redraw_design_per_replicate=True,
+                replicates=80,
+            ),
+            dict(methods=("U", "F", "PERM"), n_perm=39, replicates=60),
+            dict(
+                b_spec=NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=4.1),
+                e_spec=NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=4.1),
+                design_gens=(Balanced(6, 4), Balanced(3, 2)),
+            ),
+            dict(
+                b_spec=NoiseSpec(NoiseFamily.NORMAL, 0.0),
+                e_spec=NoiseSpec(NoiseFamily.NORMAL, 0.0),
+                methods=("U", "F", "PERM"),
+                n_perm=19,
+                replicates=30,
+            ),
+        ],
+        ids=["fixed-several-blocks", "redrawn", "u-f-perm", "scaled-t", "zero-variance"],
+    )
+    def test_matches_per_replicate_reference(self, overrides):
+        spec = _tiny_scenario(**overrides)
+        table = run_scenario(spec)
+        cells, degenerate = reference_run_scenario(spec)
+        assert table.cells == cells
+        assert dict(table.degenerate) == degenerate
 
 
 class TestStatisticalBehaviour:
