@@ -5,7 +5,8 @@ Two subcommands:
 ``uvartest test DATA.csv``
     Run the U-test, the F-test, or a permutation test on grouped
     observations given in long form (header ``treatment,value``, one
-    observation per row) and print a JSON report.
+    observation per row) and print a JSON report, in strict JSON: a number
+    beyond the float range (a sum of squares of data near 1e200) is ``null``.
 
 ``uvartest simulate PRESET-OR-CONFIG.json``
     Run a canned or user-configured Monte Carlo study and write the
@@ -13,7 +14,8 @@ Two subcommands:
 
 Exit status: 0 on success, 1 when the requested test is degenerate
 (all groups internally constant, up to rounding), 2 on input or
-configuration errors.
+configuration errors, 141 (as for a process ended by SIGPIPE) when
+standard output closes before the output is written (``| head -1``).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ SEED_ENV_VAR = "UVARTEST_SEED"
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(Exception):
@@ -97,7 +100,7 @@ def _read_grouped_csv(path: str) -> list[tuple[str, list[float]]]:
 
 
 def _report(result: TestResult, dataset: Dataset) -> dict:
-    extras = dict(result.extras)
+    extras = {key: v if math.isfinite(v) else None for key, v in result.extras.items()}
     if result.df is not None:
         extras["df"] = list(result.df)
     return {
@@ -130,26 +133,18 @@ def _cmd_test(args: argparse.Namespace) -> int:
     groups = _read_grouped_csv(args.data)
     dataset = Dataset([values for _, values in groups])
     try:
-        if args.method == "u":
-            reports = [_report(u_test(dataset, args.alpha), dataset)]
-        elif args.method == "f":
-            reports = [_report(f_test(dataset, args.alpha), dataset)]
-        elif args.method == "both":
-            reports = [
-                _report(u_test(dataset, args.alpha), dataset),
-                _report(f_test(dataset, args.alpha), dataset),
-            ]
-        else:  # perm
+        if args.method == "perm":
             seed = SeedSpec(_default_seed(args.seed))
-            result = permutation_pvalue(
-                dataset, args.n_perm, seed, alpha=args.alpha
-            )
-            reports = [_report(result, dataset)]
+            results = [permutation_pvalue(dataset, args.n_perm, seed, alpha=args.alpha)]
+        else:
+            tests = {"u": (u_test,), "f": (f_test,), "both": (u_test, f_test)}[args.method]
+            results = [test(dataset, args.alpha) for test in tests]
     except DegenerateWithinVariance as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    reports = [_report(result, dataset) for result in results]
     payload = reports[0] if len(reports) == 1 else reports
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -220,9 +215,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "test":
-            return _cmd_test(args)
-        return _cmd_simulate(args)
+        status = _cmd_test(args) if args.command == "test" else _cmd_simulate(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # keep the interpreter's last flush from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -103,20 +102,6 @@ class Design:
         """Number of unordered observation pairs, n choose 2."""
         n = self.n
         return n * (n - 1) // 2
-
-    @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Group sizes as floats, group start offsets and sqrt(M_n): the
-        statistic kernel's per-design constants, computed once."""
-        sizes = np.asarray(self.group_sizes, dtype=float)
-        offsets = np.cumsum((0,) + self.group_sizes[:-1])
-        return sizes, offsets, math.sqrt(m_n(self))
-
-    @cached_property
-    def _counts(self) -> np.ndarray:
-        """Group sizes as an integer array: ``np.repeat`` spreads per-group
-        values over the observations faster with it than with the tuple."""
-        return np.asarray(self.group_sizes)
 
 
 class Dataset:
@@ -218,8 +203,8 @@ class MomentOracle:
 
 
 class _Stats(NamedTuple):
-    """Per-row output of :func:`_statistics`; each field has the leading
-    shape of the input (``u_within`` gains a trailing group axis)."""
+    """Per-row output of :func:`_statistics`: each field has one entry per
+    row (``u_within`` one row of k group variances)."""
 
     u_within: np.ndarray
     u_pooled: np.ndarray
@@ -229,6 +214,7 @@ class _Stats(NamedTuple):
     f: np.ndarray  # ANOVA F statistic
     sq_between: np.ndarray
     sq_within: np.ndarray
+    m_n: np.ndarray
     degenerate: np.ndarray  # j and f are undefined where set
 
 
@@ -245,12 +231,15 @@ _TINY = float(np.finfo(float).tiny)
 _SAFE_PEAK = 2.0**256
 
 
-def _statistics(values: np.ndarray, design: Design) -> _Stats:
-    """Decomposition, U and F statistics of one pooled vector (shape (n,))
-    or of a stack of them (shape (R, n)).
+def _statistics(values: np.ndarray, sizes: np.ndarray) -> _Stats:
+    """Decomposition, U and F statistics of R rows of k groups each.
 
-    Every reduction runs along the last axis and no BLAS product is used,
-    so a row gives bit-identical results whatever stack it sits in.
+    ``values`` holds the rows back to back in one flat vector and ``sizes``
+    their group sizes (integers, shape (R, k)), from which each row's
+    offsets, n, M_n and pair count follow.  Each (row, group) segment and
+    each row is summed on its own (``np.add.reduceat``, or along the last
+    axis of an (R, k) array) without BLAS, so a row gives bit-identical
+    results in any block.
 
     Values anywhere in the float range give defined statistics: when some
     row's max|y| lies outside [2**-256, 2**256], where squares could
@@ -260,42 +249,51 @@ def _statistics(values: np.ndarray, design: Design) -> _Stats:
     two is exact, so J, F and the degeneracy flag are those of the
     unscaled rows.
     """
-    sizes, offsets, sqrt_m_n = design._layout
-    n, k = design.n, design.k
+    counts = sizes.ravel()
+    starts = counts.cumsum() - counts  # first position of each (row, group) segment
+    size = sizes.astype(float)
+    n = size.sum(axis=-1)
+    k = sizes.shape[-1]
     # peak stands for max(max|y|, tiny), scaled with the rows; rows left
     # unscaled have max|y| >= 2**-256 > tiny.
-    peak = np.abs(values).max(axis=-1)
+    peak = np.maximum.reduceat(np.abs(values), starts[::k])
     exponent = None
     if peak.min() < 1.0 / _SAFE_PEAK or peak.max() > _SAFE_PEAK:
         peak, exponent = np.frexp(np.maximum(peak, _TINY))
-        values = np.ldexp(values, -exponent[..., None])
-    means = np.add.reduceat(values, offsets, axis=-1) / sizes
-    centered = values - np.repeat(means, design._counts, axis=-1)
+        values = np.ldexp(values, np.repeat(-exponent, sizes.sum(axis=-1)))
+    sums = np.add.reduceat(values, starts).reshape(sizes.shape)
+    means = sums / size
+    centered = values - np.repeat(means.ravel(), counts)
     # Corrected two-pass sums of squares (Chan, Golub & LeVeque, 1983): the
     # drift term removes the rounding error of the group means, so groups
     # that are constant up to a few ulps get their exact, tiny variance.
-    drift = np.add.reduceat(centered, offsets, axis=-1)
-    ss_within = np.add.reduceat(centered * centered, offsets, axis=-1) - drift * drift / sizes
-    grand_mean = values.sum(axis=-1, keepdims=True) / n
-    dev = means - grand_mean
-    sq_between = np.sum(sizes * (dev * dev), axis=-1)
+    drift = np.add.reduceat(centered, starts).reshape(sizes.shape)
+    squares = np.add.reduceat(centered * centered, starts).reshape(sizes.shape)
+    ss_within = squares - drift * drift / size
+    dev = means - (sums.sum(axis=-1) / n)[:, None]
+    sq_between = (size * (dev * dev)).sum(axis=-1)
     sq_within = ss_within.sum(axis=-1)
-    u_within = ss_within / (sizes - 1.0)
-    w_n = np.sum(sizes * u_within, axis=-1) / n
+    size1 = size - 1.0
+    others = n[:, None] - size  # observations outside each group, n - n_i
+    u_within = ss_within / size1
+    w_n = (size * u_within).sum(axis=-1) / n
     # Between part from sufficient statistics: combining the pair-mean
     # identity over all group pairs collapses to one weighted contrast.
-    b_n = (n * sq_between - np.sum((n - sizes) * u_within, axis=-1)) / (n * (n - 1))
-    u_pooled = (sq_within + sq_between) / (n - 1)  # total SS = within SS + between SS
+    n1 = n - 1.0
+    pairs = n * n1  # ordered pairs, 2 C(n, 2)
+    b_n = (n * sq_between - (others * u_within).sum(axis=-1)) / pairs
+    u_pooled = (sq_within + sq_between) / n1  # total SS = within SS + between SS
+    m = _m_n(n, (others / size1).sum(axis=-1), k)
     degenerate = np.sqrt(w_n) <= _DEGENERACY_ULPS * _EPS * peak
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        j = design.pair_count() * b_n / (w_n * sqrt_m_n)
+        j = 0.5 * pairs * b_n / (w_n * np.sqrt(m))
         f = (sq_between / (k - 1)) / (sq_within / (n - k))
         if exponent is not None:
-            u_within = np.ldexp(u_within, 2 * exponent[..., None])
+            u_within = np.ldexp(u_within, 2 * exponent[:, None])
             u_pooled, w_n, b_n, sq_between, sq_within = (
                 np.ldexp(x, 2 * exponent) for x in (u_pooled, w_n, b_n, sq_between, sq_within)
             )
-    return _Stats(u_within, u_pooled, w_n, b_n, j, f, sq_between, sq_within, degenerate)
+    return _Stats(u_within, u_pooled, w_n, b_n, j, f, sq_between, sq_within, m, degenerate)
 
 
 def within_u(dataset: Dataset, i: int) -> float:
@@ -326,10 +324,8 @@ def between_pair_u(dataset: Dataset, i: int, i2: int) -> float:
 
 def decompose(dataset: Dataset) -> Decomposition:
     """Split the pooled pairwise variance into within and between parts."""
-    st = _statistics(dataset.values, dataset.design)
-    return Decomposition(
-        u_within=st.u_within, u_pooled=float(st.u_pooled), w_n=float(st.w_n), b_n=float(st.b_n)
-    )
+    st = _statistics(dataset.values, np.array([dataset.design.group_sizes]))
+    return Decomposition(st.u_within[0], float(st.u_pooled[0]), float(st.w_n[0]), float(st.b_n[0]))
 
 
 def m_n(design: Design) -> float:
@@ -339,10 +335,13 @@ def m_n(design: Design) -> float:
     grows like n^3 when group sizes stay bounded.
     """
     sizes = np.asarray(design.group_sizes, dtype=float)
-    n = design.n
-    k = design.k
-    correction = float(np.sum((n - sizes) / (sizes - 1.0))) / (n * (k - 1))
-    return 0.5 * n * (n - 1) * (k - 1) * (1.0 + correction)
+    return float(_m_n(design.n, ((design.n - sizes) / (sizes - 1.0)).sum(), design.k))
+
+
+def _m_n(n, weight_sum, k):
+    """:func:`m_n`, multiplied out, from n, k and the sum of the same-group
+    pair weights (n - n_i) / (n_i - 1) over groups; elementwise over rows."""
+    return 0.5 * (n - 1) * (n * (k - 1) + weight_sum)
 
 
 class EtaWeights:
@@ -425,11 +424,16 @@ def f_sf(x: float, d1: float, d2: float) -> float:
         raise ValueError("F statistic must be nonnegative")
     if d1 <= 0 or d2 <= 0:
         raise ValueError("degrees of freedom must be positive")
+    return float(_f_sf(x, d1, d2))
+
+
+def _f_sf(x, d1, d2):
+    """:func:`f_sf` without its checks, elementwise over arrays."""
     # Imported on first use: scipy.special is about half of the package's
     # import time and resident memory, and only the F-test needs it.
     from scipy import special
 
-    return float(special.betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
+    return special.betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -437,13 +441,26 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in (0, 1)")
 
 
-def _nondegenerate_statistics(dataset: Dataset) -> _Stats:
-    st = _statistics(dataset.values, dataset.design)
-    if st.degenerate:
+def _p_values(method: str, st: _Stats, sizes: np.ndarray) -> np.ndarray:
+    """Per-row p-values of the U-test ("U") or F-test ("F") from the kernel's
+    output for rows of these group sizes; NaN where a row is degenerate."""
+    if method == "U":
+        flags, stats = st.degenerate.tolist(), st.j.tolist()
+        return np.array([math.nan if d else normal_sf(j) for d, j in zip(flags, stats)])
+    k = sizes.shape[-1]
+    d2 = (sizes.sum(axis=-1) - k).astype(float)
+    return np.where(st.degenerate, math.nan, _f_sf(st.f, k - 1.0, d2))
+
+
+def _nondegenerate_statistics(dataset: Dataset, method: str) -> tuple[_Stats, float]:
+    """Kernel output (one row) and p-value of the U- or F-test on a dataset."""
+    sizes = np.array([dataset.design.group_sizes])
+    st = _statistics(dataset.values, sizes)
+    if st.degenerate[0]:
         raise DegenerateWithinVariance(
             "every group is constant up to rounding; the within-group variance is zero"
         )
-    return st
+    return st, float(_p_values(method, st, sizes)[0])
 
 
 def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
@@ -463,16 +480,15 @@ def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
     under exchangeability at any size.
     """
     _check_alpha(alpha)
-    st = _nondegenerate_statistics(dataset)
-    stat, w_n, b_n = float(st.j), float(st.w_n), float(st.b_n)
-    p = normal_sf(stat)
+    st, p = _nondegenerate_statistics(dataset, "U")
+    stat, w_n, b_n = float(st.j[0]), float(st.w_n[0]), float(st.b_n[0])
     return TestResult(
         method="U",
         statistic=stat,
         p_value=p,
         reject=p <= alpha,
         alpha=alpha,
-        extras={"w_n": w_n, "b_n": b_n, "m_n": m_n(dataset.design)},
+        extras={"w_n": w_n, "b_n": b_n, "m_n": float(st.m_n[0])},
     )
 
 
@@ -483,10 +499,9 @@ def f_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
     central F distribution with (k - 1, n - k) degrees of freedom.
     """
     _check_alpha(alpha)
-    st = _nondegenerate_statistics(dataset)
-    stat, sq_between, sq_within = float(st.f), float(st.sq_between), float(st.sq_within)
+    st, p = _nondegenerate_statistics(dataset, "F")
+    stat, sq_between, sq_within = float(st.f[0]), float(st.sq_between[0]), float(st.sq_within[0])
     d1, d2 = float(dataset.design.k - 1), float(dataset.design.n - dataset.design.k)
-    p = f_sf(stat, d1, d2)
     return TestResult(
         method="F",
         statistic=stat,

@@ -256,17 +256,21 @@ class UniformSizes:
 DesignGen = Union[Balanced, ShiftedGeometric, UniformSizes]
 
 
-def gen_design(gen: DesignGen, seed: "SeedSpec | np.random.Generator") -> Design:
-    """Realize a design from a generator; deterministic given the seed."""
+def _group_sizes(gen: DesignGen, rng: np.random.Generator | None) -> np.ndarray:
+    """Group sizes of one realized design as an integer array; balanced
+    designs draw nothing from ``rng``."""
     if isinstance(gen, Balanced):
-        return Design((gen.m,) * gen.k)
-    rng = _resolve_rng(seed)
+        return np.full(gen.k, gen.m)
     if isinstance(gen, ShiftedGeometric):
         # numpy's geometric counts trials (support {1, 2, ...}); subtract 1
         # for the failures-before-success form used here.
-        sizes = rng.geometric(gen.p, gen.k) - 1 + gen.shift
-    elif isinstance(gen, UniformSizes):
-        sizes = rng.integers(gen.lo, gen.hi + 1, gen.k)
-    else:
-        raise TypeError(f"unknown design generator {gen!r}")
-    return Design(tuple(int(s) for s in sizes))
+        return rng.geometric(gen.p, gen.k) - 1 + gen.shift
+    if isinstance(gen, UniformSizes):
+        return rng.integers(gen.lo, gen.hi + 1, gen.k)
+    raise TypeError(f"unknown design generator {gen!r}")
+
+
+def gen_design(gen: DesignGen, seed: "SeedSpec | np.random.Generator") -> Design:
+    """Realize a design from a generator; deterministic given the seed."""
+    rng = None if isinstance(gen, Balanced) else _resolve_rng(seed)
+    return Design(tuple(_group_sizes(gen, rng).tolist()))

@@ -6,8 +6,9 @@ between-group variances and a seed.  Running it produces a rejection table:
 one row per (design cell, grid value, method) with the empirical rejection
 rate and its Monte Carlo standard error.  Replicates are drawn one by one,
 each from its own stream seeded by (seed, cell index, grid index, replicate
-index), and evaluated in blocks: one statistic-kernel call per block of a
-fixed design.  Every run of a scenario gives bit-identical results.
+index), and evaluated in blocks of at most 2**16 values: one
+statistic-kernel call per block, for fixed and redrawn designs alike.
+Every run of a scenario gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .core import (
     DegenerateWithinVariance,
     Design,
     TestResult,
+    _p_values,
     _statistics,
-    f_sf,
-    normal_sf,
     u_test,
 )
 from .randgen import (
@@ -40,7 +40,8 @@ from .randgen import (
     SeedSpec,
     ShiftedGeometric,
     UniformSizes,
-    gen_design,
+    _group_sizes,
+    _resolve_rng,
     sample_noise,
 )
 
@@ -266,10 +267,10 @@ def permutation_pvalue(
     """
     observed = u_test(dataset, alpha)  # raises DegenerateWithinVariance if undefined
     j_obs = observed.statistic
-    design = dataset.design
+    design, n = dataset.design, dataset.design.n
 
     if exhaustive:
-        total = math.factorial(design.n)
+        total = math.factorial(n)
         for size in design.group_sizes:
             total //= math.factorial(size)
         if total > _EXHAUSTIVE_LIMIT:
@@ -277,22 +278,23 @@ def permutation_pvalue(
                 f"{total} distinct assignments exceed the exhaustive limit "
                 f"({_EXHAUSTIVE_LIMIT}); use random permutations instead"
             )
-        assignments = _iter_assignments(design.n, design.group_sizes)
+        assignments = _iter_assignments(n, design.group_sizes)
         used = total
     else:
         if n_perm is None or n_perm < 1:
             raise ValueError("n_perm must be at least 1")
         if seed is None:
             raise ValueError("a seed is required for random permutations")
-        rng = seed.generator() if isinstance(seed, SeedSpec) else seed
-        assignments = (rng.permutation(design.n) for _ in range(n_perm))
+        rng = _resolve_rng(seed)
+        assignments = (rng.permutation(n) for _ in range(n_perm))
         used = n_perm
 
     threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
-    rows = max(1, _CHUNK_VALUES // design.n)
+    rows = max(1, _CHUNK_VALUES // n)
+    sizes = np.array([design.group_sizes])
     exceed = 0
     while chunk := list(itertools.islice(assignments, rows)):
-        st = _statistics(dataset.values[np.array(chunk)], design)
+        st = _statistics(dataset.values[np.concatenate(chunk)], sizes.repeat(len(chunk), axis=0))
         exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
 
     p = (1.0 + exceed) / (used + 1.0)
@@ -306,28 +308,34 @@ def permutation_pvalue(
     )
 
 
-def _draw(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, design: Design | None, path):
-    """One replicate from its own stream: the design (unless fixed), the group
-    effects b, then the errors e.  Returns the design, the pooled vector and
-    the stream, which PERM goes on drawing from."""
-    rng = spec.seed.generator(*path)
-    if design is None:
-        design = gen_design(gen, rng)
-    b = sample_noise(b_spec, design.k, rng)
-    e = sample_noise(spec.e_spec, design.n, rng)
-    return design, spec.mu + np.repeat(b, design._counts) + e, rng
+def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, *path: int):
+    """Replicates (group sizes, pooled vector, stream) of one (cell, grid
+    value) in blocks of at most ``_CHUNK_VALUES`` values or one replicate.
+    Stream (*path, r) draws sizes (unless fixed), b, then e; PERM draws on."""
+    block, used = [], 0
+    for r in range(spec.replicates):
+        rng = spec.seed.generator(*path, r)
+        sizes = _group_sizes(gen, rng) if fixed_sizes is None else fixed_sizes
+        b = sample_noise(b_spec, gen.k, rng)
+        y = spec.mu + np.repeat(b, sizes)
+        y += sample_noise(spec.e_spec, y.size, rng)
+        if block and used + y.size > _CHUNK_VALUES:
+            yield block
+            block, used = [], 0
+        block.append((sizes, y, rng))
+        used += y.size
+    yield block
 
 
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     """Run every (design cell, grid value) of the scenario.
 
     Replicates are drawn one by one, each from its own derived stream, and
-    evaluated in blocks: the replicates of a fixed design are stacked into
-    blocks of at most 2**16 values and every block goes through the
-    statistic kernel in one call; a redrawn design makes a block of one
-    replicate.  PERM runs once per replicate on that replicate's stream.
-    The rejection decisions are those of ``u_test``, ``f_test`` and
-    ``permutation_pvalue`` on each replicate.
+    stacked into blocks of at most 2**16 values, whether the design is
+    fixed or redrawn per replicate.  Each block takes one statistic-kernel
+    call, and the U and F decisions come from the helper that ``u_test``
+    and ``f_test`` use.  PERM runs ``permutation_pvalue`` once per
+    replicate on that replicate's stream.
 
     ``workers`` must be at least 1.  It changes neither the result nor how
     the run executes: everything runs in this process.
@@ -337,47 +345,32 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     cells: list[RejectionCell] = []
     diagnostics: dict[tuple[str, int, str, float, str], int] = {}
     for cell_index, gen in enumerate(spec.design_gens):
-        fixed_design = (
-            None
-            if spec.redraw_design_per_replicate
-            else gen_design(gen, spec.seed.generator(cell_index))
-        )
-        rows = 1 if fixed_design is None else max(1, _CHUNK_VALUES // fixed_design.n)
+        redraw = spec.redraw_design_per_replicate
+        fixed_sizes = None if redraw else _group_sizes(gen, spec.seed.generator(cell_index))
         for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
             degenerate = dict.fromkeys(spec.methods, 0)
-            for start in range(0, spec.replicates, rows):
-                block = [
-                    _draw(spec, gen, b_spec, fixed_design, (cell_index, grid_index, r))
-                    for r in range(start, min(start + rows, spec.replicates))
-                ]
-                design = block[0][0]
-                # A single row goes to the kernel as a vector: cheaper than (1, n).
-                values = block[0][1] if len(block) == 1 else np.stack([y for _, y, _ in block])
+            for block in _blocks(spec, gen, b_spec, fixed_sizes, cell_index, grid_index):
+                sizes = np.array([s for s, _, _ in block])
+                values = np.concatenate([y for _, y, _ in block])
                 if not np.all(np.isfinite(values)):
                     raise ValueError("observations must be finite")
-                st = _statistics(values, design)
-                flags = np.reshape(st.degenerate, -1).tolist()
-                d1, d2 = float(design.k - 1), float(design.n - design.k)
+                st = _statistics(values, sizes)
                 for method in spec.methods:
-                    if method == "PERM":
-                        for _, y, rng in block:
-                            ds = Dataset.from_values(y, design)
-                            try:
-                                result = permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
-                            except DegenerateWithinVariance:
-                                degenerate[method] += 1
-                            else:
-                                rejections[method] += result.reject
+                    if method != "PERM":
+                        p = _p_values(method, st, sizes)
+                        rejections[method] += int(np.count_nonzero(p <= spec.alpha))
+                        degenerate[method] += int(np.count_nonzero(st.degenerate))
                         continue
-                    stats = np.reshape(st.j if method == "U" else st.f, -1).tolist()
-                    for flag, stat in zip(flags, stats):
-                        if flag:
+                    for s, y, rng in block:
+                        ds = Dataset.from_values(y, Design(tuple(s.tolist())))
+                        try:
+                            result = permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
+                        except DegenerateWithinVariance:
                             degenerate[method] += 1
                         else:
-                            p = normal_sf(stat) if method == "U" else f_sf(stat, d1, d2)
-                            rejections[method] += p <= spec.alpha
+                            rejections[method] += result.reject
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(
@@ -408,23 +401,9 @@ _T1_M = (2, 4, 5, 10)
 _T2_K = (10, 20, 30, 50, 100)
 
 
-def _table1(name: str, e_spec: NoiseSpec) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=name,
-        design_gens=tuple(Balanced(k, m) for k in _T1_K for m in _T1_M),
-        redraw_design_per_replicate=False,
-        b_spec=NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=3.0),
-        e_spec=e_spec,
-        mu=2.0,
-        sigma_b2_grid=_GRID,
-        alpha=0.05,
-        replicates=10_000,
-        seed=SeedSpec(0),
-        methods=("U",),
-    )
-
-
-def _table2(name: str, gens, redraw: bool, b_spec: NoiseSpec, e_spec: NoiseSpec) -> ScenarioSpec:
+def _table2(
+    name: str, gens, redraw: bool, b_spec: NoiseSpec, e_spec: NoiseSpec, methods=("F", "U")
+) -> ScenarioSpec:
     return ScenarioSpec(
         name=name,
         design_gens=tuple(gens),
@@ -436,15 +415,29 @@ def _table2(name: str, gens, redraw: bool, b_spec: NoiseSpec, e_spec: NoiseSpec)
         alpha=0.05,
         replicates=10_000,
         seed=SeedSpec(0),
-        methods=("F", "U"),
+        methods=methods,
     )
+
+
+def _table1(name: str, e_spec: NoiseSpec) -> ScenarioSpec:
+    gens = (Balanced(k, m) for k in _T1_K for m in _T1_M)
+    b_spec = NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=3.0)
+    return _table2(name, gens, False, b_spec, e_spec, methods=("U",))
 
 
 _NORMAL_UNIT = NoiseSpec(NoiseFamily.NORMAL, target_variance=1.0)
 _SKEW_T_UNIT = NoiseSpec(NoiseFamily.SKEW_T_STD, target_variance=1.0, df=4.1, skew=1.0)
 
 
-def _make_preset(name: str) -> ScenarioSpec:
+def preset(name: str) -> ScenarioSpec:
+    """One of the canned study configurations, by name.
+
+    Table-1 presets cross k in {10, 30, 100} with balanced group sizes in
+    {2, 4, 5, 10} and run the U-test only; table-2 presets cross
+    k in {10, 20, 30, 50, 100} with one design family and run both the
+    F- and U-tests.  All use mean 2, unit error variance, a between-group
+    variance grid of {0, 0.2, 0.5, 1}, level 0.05 and 10,000 replicates.
+    """
     if name == "table1-normal":
         return _table1(name, _NORMAL_UNIT)
     if name == "table1-t5":
@@ -492,18 +485,6 @@ PRESET_NAMES = (
     "table2-uniform-t",
     "table2-skew",
 )
-
-
-def preset(name: str) -> ScenarioSpec:
-    """One of the canned study configurations, by name.
-
-    Table-1 presets cross k in {10, 30, 100} with balanced group sizes in
-    {2, 4, 5, 10} and run the U-test only; table-2 presets cross
-    k in {10, 20, 30, 50, 100} with one design family and run both the
-    F- and U-tests.  All use mean 2, unit error variance, a between-group
-    variance grid of {0, 0.2, 0.5, 1}, level 0.05 and 10,000 replicates.
-    """
-    return _make_preset(name)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from uvartest.cli import EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
+from uvartest.cli import EXIT_BROKEN_PIPE, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from uvartest.simlab import RejectionTable
 
 WORKED_CSV = "treatment,value\na,0\na,2\nb,1\nb,3\n"
@@ -149,6 +149,21 @@ class TestCmdTest:
             for report in reports if isinstance(reports, list) else [reports]:
                 assert 0.0 <= report["p_value"] <= 1.0
 
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        # the sums of squares of 1e200-sized data overflow: null, not Infinity
+        path = tmp_path / "huge.csv"
+        path.write_text("treatment,value\na,1e200\na,2e200\nb,3e200\nb,1e200\n")
+        code, out, _ = _run(capsys, "test", str(path), "--method", "both")
+        assert code == EXIT_OK
+
+        def reject_constant(name):
+            raise ValueError(f"non-finite number {name} in the report")
+
+        u, f = json.loads(out, parse_constant=reject_constant)
+        assert u["extras"]["w_n"] is None and u["extras"]["b_n"] is None
+        assert u["extras"]["m_n"] == 12.0
+        assert f["extras"]["sq_between"] is None and f["extras"]["sq_within"] is None
+
     def test_singleton_treatment_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("treatment,value\na,1\na,2\nb,3\n")
@@ -267,6 +282,34 @@ class TestCmdSimulate:
         path.write_text("{not json")
         code, _, _ = _run(capsys, "simulate", str(path))
         assert code == EXIT_INPUT_ERROR
+
+
+class _ClosedStdout(io.StringIO):
+    """Standard output whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_exit_status_of_its_own(self, worked_csv, tiny_config, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        for argv in (["test", worked_csv, "--method", "both"], ["simulate", tiny_config]):
+            assert main(argv) == EXIT_BROKEN_PIPE
+            assert "Traceback" not in capsys.readouterr().err
+        assert EXIT_BROKEN_PIPE not in (EXIT_OK, EXIT_DEGENERATE, EXIT_INPUT_ERROR)
+
+    def test_closed_pipe_in_a_process(self, worked_csv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uvartest", "test", worked_csv, "--method", "both"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader leaves before anything is written
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert err == ""
 
 
 class TestEntryPoint:

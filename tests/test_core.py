@@ -12,6 +12,7 @@ from uvartest.core import (
     Dataset,
     DegenerateWithinVariance,
     Design,
+    _statistics,
     b_n_centered,
     between_pair_u,
     decompose,
@@ -491,6 +492,52 @@ class TestPowerOfTwoScaling:
         same = Dataset([[1.0, 2.0], [3.0, 1.0]])
         assert u_test(ds).p_value == pytest.approx(u_test(same).p_value, rel=1e-12)
         assert f_test(ds).p_value == pytest.approx(f_test(same).p_value, rel=1e-12)
+
+
+class TestBatchInvariance:
+    """The kernel sums every row and every group on its own, so each output
+    field of a row is bit-identical whether the row is evaluated alone or
+    inside a block, whatever the other rows hold."""
+
+    @staticmethod
+    def _assert_rows_as_alone(rows, sizes):
+        sizes = np.asarray(sizes)
+        block = _statistics(np.concatenate(rows), sizes)
+        for i, (row, row_sizes) in enumerate(zip(rows, sizes)):
+            alone = _statistics(row, row_sizes[None])
+            for name in alone._fields:
+                got, want = getattr(block, name)[i], getattr(alone, name)[0]
+                assert got.tobytes() == want.tobytes(), (i, name)
+
+    def test_same_design_block(self):
+        rng = np.random.default_rng(31)
+        rows = list(2.0 + rng.standard_normal((200, 60)))
+        self._assert_rows_as_alone(rows, [(6,) * 10] * 200)
+
+    def test_permuted_stack(self):
+        rng = np.random.default_rng(32)
+        sizes = (3, 5, 4, 7, 2)
+        values = np.repeat(rng.standard_normal(5), sizes) + rng.standard_normal(sum(sizes))
+        rows = [values[rng.permutation(values.size)] for _ in range(150)]
+        self._assert_rows_as_alone(rows, [sizes] * 150)
+
+    def test_mixed_size_block(self):
+        rng = np.random.default_rng(33)
+        sizes = rng.integers(2, 12, (120, 8))
+        rows = [np.repeat(rng.standard_normal(8), s) + rng.standard_t(4.1, s.sum()) for s in sizes]
+        self._assert_rows_as_alone(rows, sizes)
+
+    def test_block_with_scaled_and_degenerate_rows(self):
+        # one row near the float limit makes the kernel scale every row; one
+        # row has constant groups and is flagged
+        rng = np.random.default_rng(34)
+        sizes = rng.integers(2, 6, (40, 3))
+        rows = [rng.standard_normal(int(s.sum())) for s in sizes]
+        rows[7] = 1e200 * rows[7]
+        rows[19] = np.repeat([0.3, 1.0, -2.0], sizes[19])
+        rows[23] = 1e-300 * rows[23]
+        self._assert_rows_as_alone(rows, sizes)
+        assert _statistics(rows[19], sizes[19][None]).degenerate[0]
 
 
 class TestNormalSf:

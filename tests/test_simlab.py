@@ -4,6 +4,8 @@ rejection-table serialization."""
 import io
 import itertools
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +147,21 @@ class TestRunScenario:
         table = run_scenario(spec)
         assert table.cells[0].replicates == 100
 
+    def test_u_and_perm_leave_scipy_special_unloaded(self):
+        # only the F-test needs scipy.special, about 26 MB of resident memory
+        code = (
+            "import sys\n"
+            "from uvartest import Balanced, NoiseFamily, NoiseSpec, ScenarioSpec, SeedSpec\n"
+            "from uvartest import run_scenario\n"
+            "e = NoiseSpec(NoiseFamily.NORMAL, 1.0)\n"
+            "run_scenario(ScenarioSpec('s', (Balanced(4, 3),), True, e, e, 0.0, (0.0,), 0.05, 5,\n"
+            "                          SeedSpec(1), ('U', 'PERM'), 9))\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_perm_method_smoke(self):
         spec = _tiny_scenario(
             sigma_b2_grid=(0.0,), replicates=60, methods=("PERM",), n_perm=39
@@ -182,8 +199,30 @@ class TestBatchedEngine:
                 n_perm=19,
                 replicates=30,
             ),
+            # n about 770 per replicate: blocks of about 85 replicates
+            dict(
+                design_gens=(ShiftedGeometric(100, 0.15, 2),),
+                redraw_design_per_replicate=True,
+                replicates=300,
+                sigma_b2_grid=(0.0,),
+            ),
+            dict(
+                design_gens=(ShiftedGeometric(6, 0.3, 2), UniformSizes(5, 2, 4)),
+                redraw_design_per_replicate=True,
+                methods=("U", "F", "PERM"),
+                n_perm=39,
+                replicates=40,
+            ),
         ],
-        ids=["fixed-several-blocks", "redrawn", "u-f-perm", "scaled-t", "zero-variance"],
+        ids=[
+            "fixed-several-blocks",
+            "redrawn",
+            "u-f-perm",
+            "scaled-t",
+            "zero-variance",
+            "redrawn-several-blocks",
+            "redrawn-u-f-perm",
+        ],
     )
     def test_matches_per_replicate_reference(self, overrides):
         spec = _tiny_scenario(**overrides)
@@ -271,6 +310,10 @@ class TestPermutation:
     def test_seed_required_for_random_mode(self):
         with pytest.raises(ValueError):
             permutation_pvalue(Dataset([[0, 2], [1, 3]]), 10)
+
+    def test_seed_of_wrong_type(self):
+        with pytest.raises(TypeError, match="SeedSpec or a numpy Generator"):
+            permutation_pvalue(Dataset([[0, 2], [1, 3]]), 9, 5)
 
     def test_degenerate_observed_dataset(self):
         with pytest.raises(DegenerateWithinVariance):
