@@ -3,94 +3,11 @@ effects models: a normal-calibrated test built on a decomposition of the
 pooled pairwise variance, the classical ANOVA F-test, a permutation
 calibration, and a Monte Carlo lab for size/power studies."""
 
-from .core import (
-    Dataset,
-    Decomposition,
-    DegenerateWithinVariance,
-    Design,
-    EtaWeights,
-    MomentOracle,
-    TestResult,
-    b_n_centered,
-    between_pair_u,
-    decompose,
-    eta_weights,
-    f_sf,
-    f_test,
-    icc,
-    kappa,
-    local_shift,
-    m_n,
-    moment_oracle,
-    normal_sf,
-    u_test,
-    within_u,
-)
-from .randgen import (
-    Balanced,
-    DesignGen,
-    NoiseFamily,
-    NoiseSpec,
-    SeedSpec,
-    ShiftedGeometric,
-    SkewTMoments,
-    UniformSizes,
-    gen_design,
-    sample_noise,
-    skew_t_moments,
-)
-from .simlab import (
-    PRESET_NAMES,
-    RejectionCell,
-    RejectionTable,
-    ScenarioSpec,
-    mc_se,
-    permutation_pvalue,
-    preset,
-    run_scenario,
-)
+from . import core, randgen, simlab
+from .core import *  # noqa: F401,F403
+from .randgen import *  # noqa: F401,F403
+from .simlab import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "Decomposition",
-    "DegenerateWithinVariance",
-    "Design",
-    "EtaWeights",
-    "MomentOracle",
-    "TestResult",
-    "b_n_centered",
-    "between_pair_u",
-    "decompose",
-    "eta_weights",
-    "f_sf",
-    "f_test",
-    "icc",
-    "kappa",
-    "local_shift",
-    "m_n",
-    "moment_oracle",
-    "normal_sf",
-    "u_test",
-    "within_u",
-    "Balanced",
-    "DesignGen",
-    "NoiseFamily",
-    "NoiseSpec",
-    "SeedSpec",
-    "ShiftedGeometric",
-    "SkewTMoments",
-    "UniformSizes",
-    "gen_design",
-    "sample_noise",
-    "skew_t_moments",
-    "PRESET_NAMES",
-    "RejectionCell",
-    "RejectionTable",
-    "ScenarioSpec",
-    "mc_se",
-    "permutation_pvalue",
-    "preset",
-    "run_scenario",
-]
+__all__ = [*core.__all__, *randgen.__all__, *simlab.__all__]

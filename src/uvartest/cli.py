@@ -179,8 +179,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(rendered)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -222,10 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is sys.__stdout__:  # keep the interpreter's last flush from failing again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -8,7 +8,9 @@ rate and its Monte Carlo standard error.  Replicates are drawn one by one,
 each from its own stream seeded by (seed, cell index, grid index, replicate
 index), and evaluated in blocks of at most 2**16 values: one
 statistic-kernel call per block, for fixed and redrawn designs alike.
-Every run of a scenario gives bit-identical results.
+PERM reads each replicate's statistic from that call and draws the
+replicate's permutations from its stream.  Every run of a scenario gives
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    DegenerateWithinVariance,
-    Design,
-    TestResult,
-    _p_values,
-    _statistics,
-    u_test,
-)
+from .core import Dataset, TestResult, _p_values, _statistics, u_test
 from .randgen import (
     Balanced,
     DesignGen,
@@ -244,6 +238,22 @@ def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]
     yield from rec(tuple(range(n)), tuple(sizes))
 
 
+def _exceedances(pooled: np.ndarray, sizes: np.ndarray, j_obs: float, assignments) -> int:
+    """Number of ``assignments`` (index vectors into the pooled row
+    ``pooled``, whose group sizes are the (1, k) array ``sizes``) whose
+    statistic ties or exceeds ``j_obs``.  A tie is a statistic within a
+    relative 1e-9 of ``j_obs``; a degenerate permuted row never counts.
+    Assignments go to the kernel in stacks of at most ``_CHUNK_VALUES``
+    values."""
+    threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
+    rows = max(1, _CHUNK_VALUES // pooled.size)
+    exceed = 0
+    while chunk := list(itertools.islice(assignments, rows)):
+        st = _statistics(pooled[np.concatenate(chunk)], sizes.repeat(len(chunk), axis=0))
+        exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
+    return exceed
+
+
 def permutation_pvalue(
     dataset: Dataset,
     n_perm: int | None = None,
@@ -265,8 +275,7 @@ def permutation_pvalue(
     always in floating point.  Permutations with degenerate within-group
     variance never count as exceedances.
     """
-    observed = u_test(dataset, alpha)  # raises DegenerateWithinVariance if undefined
-    j_obs = observed.statistic
+    j_obs = u_test(dataset, alpha).statistic  # raises DegenerateWithinVariance if undefined
     design, n = dataset.design, dataset.design.n
 
     if exhaustive:
@@ -289,14 +298,7 @@ def permutation_pvalue(
         assignments = (rng.permutation(n) for _ in range(n_perm))
         used = n_perm
 
-    threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
-    rows = max(1, _CHUNK_VALUES // n)
-    sizes = np.array([design.group_sizes])
-    exceed = 0
-    while chunk := list(itertools.islice(assignments, rows)):
-        st = _statistics(dataset.values[np.concatenate(chunk)], sizes.repeat(len(chunk), axis=0))
-        exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
-
+    exceed = _exceedances(dataset.values, np.array([design.group_sizes]), j_obs, assignments)
     p = (1.0 + exceed) / (used + 1.0)
     return TestResult(
         method="PERM",
@@ -334,8 +336,10 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     stacked into blocks of at most 2**16 values, whether the design is
     fixed or redrawn per replicate.  Each block takes one statistic-kernel
     call, and the U and F decisions come from the helper that ``u_test``
-    and ``f_test`` use.  PERM runs ``permutation_pvalue`` once per
-    replicate on that replicate's stream.
+    and ``f_test`` use.  PERM takes each row's statistic and degeneracy
+    flag from the same call, then draws that row's permutations from its
+    stream and counts exceedances as ``permutation_pvalue`` does.  A
+    degenerate row is counted once and reported under every method.
 
     ``workers`` must be at least 1.  It changes neither the result nor how
     the run executes: everything runs in this process.
@@ -350,27 +354,26 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
         for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
-            degenerate = dict.fromkeys(spec.methods, 0)
+            degenerate = 0
             for block in _blocks(spec, gen, b_spec, fixed_sizes, cell_index, grid_index):
                 sizes = np.array([s for s, _, _ in block])
                 values = np.concatenate([y for _, y, _ in block])
                 if not np.all(np.isfinite(values)):
                     raise ValueError("observations must be finite")
                 st = _statistics(values, sizes)
+                degenerate += int(np.count_nonzero(st.degenerate))
                 for method in spec.methods:
                     if method != "PERM":
                         p = _p_values(method, st, sizes)
                         rejections[method] += int(np.count_nonzero(p <= spec.alpha))
-                        degenerate[method] += int(np.count_nonzero(st.degenerate))
                         continue
-                    for s, y, rng in block:
-                        ds = Dataset.from_values(y, Design(tuple(s.tolist())))
-                        try:
-                            result = permutation_pvalue(ds, spec.n_perm, rng, alpha=spec.alpha)
-                        except DegenerateWithinVariance:
-                            degenerate[method] += 1
-                        else:
-                            rejections[method] += result.reject
+                    rows = zip(block, st.j.tolist(), st.degenerate.tolist())
+                    for (s, y, rng), j_obs, undefined in rows:
+                        if undefined:
+                            continue
+                        draws = (rng.permutation(y.size) for _ in range(spec.n_perm))
+                        exceed = _exceedances(y, s[None], j_obs, draws)
+                        rejections[method] += (1.0 + exceed) / (spec.n_perm + 1.0) <= spec.alpha
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(
@@ -385,9 +388,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
                         replicates=spec.replicates,
                     )
                 )
-                if degenerate[method]:
-                    key = (spec.name, gen.k, gen.label, sigma_b2, method)
-                    diagnostics[key] = degenerate[method]
+                if degenerate:
+                    diagnostics[(spec.name, gen.k, gen.label, sigma_b2, method)] = degenerate
     return RejectionTable(cells=tuple(cells), degenerate=diagnostics or _NO_DEGENERATE)
 
 
@@ -427,6 +429,28 @@ def _table1(name: str, e_spec: NoiseSpec) -> ScenarioSpec:
 
 _NORMAL_UNIT = NoiseSpec(NoiseFamily.NORMAL, target_variance=1.0)
 _SKEW_T_UNIT = NoiseSpec(NoiseFamily.SKEW_T_STD, target_variance=1.0, df=4.1, skew=1.0)
+_T41_UNIT = NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=4.1)
+
+# Preset builders by name, in the order PRESET_NAMES lists them.
+_PRESETS = {
+    "table1-normal": lambda name: _table1(name, _NORMAL_UNIT),
+    "table1-t5": lambda name: _table1(
+        name, NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=5.0)
+    ),
+    "table2-balanced-normal": lambda name: _table2(
+        name, (Balanced(k, 5) for k in _T2_K), False, _NORMAL_UNIT, _NORMAL_UNIT
+    ),
+    "table2-geometric": lambda name: _table2(
+        name, (ShiftedGeometric(k, 0.15, 2) for k in _T2_K), True, _NORMAL_UNIT, _NORMAL_UNIT
+    ),
+    "table2-uniform-t": lambda name: _table2(
+        name, (UniformSizes(k, 5, 10) for k in _T2_K), True, _T41_UNIT, _T41_UNIT
+    ),
+    "table2-skew": lambda name: _table2(
+        name, (Balanced(k, 5) for k in _T2_K), False, _SKEW_T_UNIT, _SKEW_T_UNIT
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ScenarioSpec:
@@ -438,53 +462,9 @@ def preset(name: str) -> ScenarioSpec:
     F- and U-tests.  All use mean 2, unit error variance, a between-group
     variance grid of {0, 0.2, 0.5, 1}, level 0.05 and 10,000 replicates.
     """
-    if name == "table1-normal":
-        return _table1(name, _NORMAL_UNIT)
-    if name == "table1-t5":
-        return _table1(name, NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=5.0))
-    if name == "table2-balanced-normal":
-        return _table2(
-            name,
-            (Balanced(k, 5) for k in _T2_K),
-            False,
-            NoiseSpec(NoiseFamily.NORMAL, target_variance=1.0),
-            _NORMAL_UNIT,
-        )
-    if name == "table2-geometric":
-        return _table2(
-            name,
-            (ShiftedGeometric(k, 0.15, 2) for k in _T2_K),
-            True,
-            NoiseSpec(NoiseFamily.NORMAL, target_variance=1.0),
-            _NORMAL_UNIT,
-        )
-    if name == "table2-uniform-t":
-        return _table2(
-            name,
-            (UniformSizes(k, 5, 10) for k in _T2_K),
-            True,
-            NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=4.1),
-            NoiseSpec(NoiseFamily.SCALED_T, target_variance=1.0, df=4.1),
-        )
-    if name == "table2-skew":
-        return _table2(
-            name,
-            (Balanced(k, 5) for k in _T2_K),
-            False,
-            _SKEW_T_UNIT,
-            _SKEW_T_UNIT,
-        )
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
-PRESET_NAMES = (
-    "table1-normal",
-    "table1-t5",
-    "table2-balanced-normal",
-    "table2-geometric",
-    "table2-uniform-t",
-    "table2-skew",
-)
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name](name)
 
 
 # --------------------------------------------------------------------------
@@ -494,8 +474,14 @@ PRESET_NAMES = (
 _DESIGN_KINDS = {"balanced", "geometric", "uniform"}
 
 
+def _mapping(d, requirement: str) -> Mapping:
+    if not isinstance(d, Mapping):
+        raise TypeError(f"{requirement}, got {d!r}")
+    return d
+
+
 def _design_gen_from_dict(d: Mapping) -> DesignGen:
-    kind = d.get("kind")
+    kind = _mapping(d, "a design must be an object").get("kind")
     if kind == "balanced":
         return Balanced(k=int(d["k"]), m=int(d["m"]))
     if kind == "geometric":
@@ -517,10 +503,11 @@ def _noise_spec_from_dict(d: Mapping, default_variance: float = 1.0) -> NoiseSpe
 
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
     """Build a scenario from a plain mapping (parsed JSON configuration)."""
-    seed_cfg = d.get("seed", {})
+    seed_cfg = _mapping(d, "a scenario config must be an object").get("seed", {})
     if isinstance(seed_cfg, int):
         seed = SeedSpec(seed_cfg)
     else:
+        seed_cfg = _mapping(seed_cfg, "seed must be an integer or an object")
         seed = SeedSpec(
             master_seed=int(seed_cfg.get("master_seed", 0)),
             stream_id=int(seed_cfg.get("stream_id", 0)),

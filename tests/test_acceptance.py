@@ -18,6 +18,7 @@ from uvartest.cli import main as cli_main
 from uvartest.core import (
     Dataset,
     Design,
+    _statistics,
     b_n_centered,
     between_pair_u,
     decompose,
@@ -164,9 +165,14 @@ def test_criterion_3_moment_oracles():
     e4_t5 = (3.0 / 5.0) ** 2 * (3.0 * 25.0 / (3.0 * 1.0))
     oracle_t5 = moment_oracle(design, 0.0, 1.0, e4_t5)
 
+    # Replicates are stacked into chunks of at most 2**16 values, one kernel
+    # call each; every 1,000th row also goes through decompose on its own.
+    rows = 2**16 // n
+
     def sweep(tag, sigma_b2, t5_errors=False):
         b_vals = np.empty(reps)
         u_vals = np.empty((reps, k))
+        chunk = np.empty((rows, n))
         for r in range(reps):
             rng = MASTER.generator(3, tag, r)
             b = rng.standard_normal(k) * math.sqrt(sigma_b2) if sigma_b2 else np.zeros(k)
@@ -174,9 +180,17 @@ def test_criterion_3_moment_oracles():
                 e = rng.standard_t(5.0, n) * math.sqrt(3.0 / 5.0)
             else:
                 e = rng.standard_normal(n)
-            dec = decompose(Dataset.from_values(2.0 + np.repeat(b, 5) + e, design))
-            b_vals[r] = dec.b_n
-            u_vals[r] = dec.u_within
+            i = r % rows
+            chunk[i] = 2.0 + np.repeat(b, 5) + e
+            if i == rows - 1 or r == reps - 1:
+                start = r - i
+                st = _statistics(chunk[: i + 1].ravel(), np.full((i + 1, k), 5))
+                b_vals[start : r + 1] = st.b_n
+                u_vals[start : r + 1] = st.u_within
+                for row in range(-start % 1000, i + 1, 1000):
+                    dec = decompose(Dataset.from_values(chunk[row], design))
+                    assert dec.b_n == st.b_n[row]
+                    assert dec.u_within.tobytes() == st.u_within[row].tobytes()
         return b_vals, u_vals
 
     failures = []

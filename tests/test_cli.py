@@ -277,6 +277,31 @@ class TestCmdSimulate:
         code, _, _ = _run(capsys, "simulate", str(path))
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"seed": 1.5, "designs": [{"kind": "balanced", "k": 3, "m": 2}]},
+            {"designs": ["balanced"]},
+            [1, 2],
+        ],
+        ids=["float-seed", "design-not-an-object", "top-level-list"],
+    )
+    def test_config_of_the_wrong_shape_exits_2(self, config, tmp_path, capsys):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(config))
+        code, _, err = _run(capsys, "simulate", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith(f"error: invalid scenario config {path}: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_exits_2(self, tiny_config, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        code, _, err = _run(capsys, "simulate", tiny_config, "--replicates", "2",
+                            "--out", str(target))
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: cannot write {target}: " in err
+        assert "Traceback" not in err
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -213,6 +213,22 @@ class TestBatchedEngine:
                 n_perm=39,
                 replicates=40,
             ),
+            # error variance 1e-30: degenerate and defined PERM rows in one block
+            dict(
+                design_gens=(Balanced(3, 2),),
+                e_spec=NoiseSpec(NoiseFamily.NORMAL, 1e-30),
+                methods=("U", "F", "PERM"),
+                n_perm=19,
+                replicates=200,
+            ),
+            # n = 1000: PERM over blocks of 65, 65 and 20 replicates
+            dict(
+                design_gens=(Balanced(100, 10),),
+                methods=("U", "PERM"),
+                n_perm=9,
+                replicates=150,
+                sigma_b2_grid=(0.0, 0.05),
+            ),
         ],
         ids=[
             "fixed-several-blocks",
@@ -222,6 +238,8 @@ class TestBatchedEngine:
             "zero-variance",
             "redrawn-several-blocks",
             "redrawn-u-f-perm",
+            "near-degenerate-perm",
+            "perm-several-blocks",
         ],
     )
     def test_matches_per_replicate_reference(self, overrides):
