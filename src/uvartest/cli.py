@@ -10,18 +10,22 @@ Two subcommands:
 
 ``uvartest simulate PRESET-OR-CONFIG.json``
     Run a canned or user-configured Monte Carlo study and write the
-    rejection table as CSV or Markdown.
+    rejection table as CSV or Markdown.  A config is the JSON object that
+    ``simlab.scenario_from_dict`` reads (README gives its schema); ``--out``
+    is opened, and truncated, before the study runs.
 
 Exit status: 0 on success, 1 when the requested test is degenerate
-(all groups internally constant, up to rounding), 2 on input or
-configuration errors, 141 (as for a process ended by SIGPIPE) when
+(all groups internally constant, up to rounding), 2 on input,
+configuration or file errors, 141 (as for a process ended by SIGPIPE) when
 standard output closes before the output is written (``| head -1``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -35,7 +39,6 @@ from .simlab import (
     preset,
     run_scenario,
     scenario_from_dict,
-    scenario_with_overrides,
 )
 from .randgen import SeedSpec
 
@@ -117,12 +120,11 @@ def _report(result: TestResult, dataset: Dataset) -> dict:
     }
 
 
-def _default_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
+def _seed(explicit: int | None) -> int | None:
+    """The explicit seed, else ``$UVARTEST_SEED``, else None."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
+    if explicit is not None or env is None:
+        return explicit
     try:
         return int(env)
     except ValueError:
@@ -134,7 +136,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     dataset = Dataset([values for _, values in groups])
     try:
         if args.method == "perm":
-            seed = SeedSpec(_default_seed(args.seed))
+            seed = SeedSpec(_seed(args.seed) or 0)
             results = [permutation_pvalue(dataset, args.n_perm, seed, alpha=args.alpha)]
         else:
             tests = {"u": (u_test,), "f": (f_test,), "both": (u_test, f_test)}[args.method]
@@ -156,7 +158,7 @@ def _load_scenario(source: str):
             with open(source, encoding="utf-8") as fh:
                 config = json.load(fh)
             return scenario_from_dict(config)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             raise InputError(f"invalid scenario config {source}: {exc}") from exc
     raise InputError(
         f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a config file"
@@ -165,25 +167,25 @@ def _load_scenario(source: str):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_scenario(args.scenario)
-    seed = _default_seed(args.seed) if (args.seed is not None or SEED_ENV_VAR in os.environ) else None
-    spec = scenario_with_overrides(spec, replicates=args.replicates, master_seed=seed)
-    table = run_scenario(spec, workers=args.workers)
-    for cell in table.cells:
-        print(
-            f"{cell.scenario} k={cell.k} design={cell.design} "
-            f"sigma_b2={cell.sigma_b2:g} {cell.method}: "
-            f"rate={cell.rate:.4f} se={cell.se:.4f} n={cell.replicates}",
-            file=sys.stderr,
-        )
-    rendered = table.to_csv_string() if args.format == "csv" else table.to_markdown()
-    if args.out is None:
-        sys.stdout.write(rendered)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+    if (seed := _seed(args.seed)) is not None:
+        spec = dataclasses.replace(spec, seed=SeedSpec(seed, spec.seed.stream_id))
+    if args.replicates is not None:
+        spec = dataclasses.replace(spec, replicates=args.replicates)
+    # Opened (and truncated) before the run, as by a shell redirect.
+    try:
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        table = run_scenario(spec, workers=args.workers)
+        for cell in table.cells:
+            print(
+                f"{cell.scenario} k={cell.k} design={cell.design} "
+                f"sigma_b2={cell.sigma_b2:g} {cell.method}: "
+                f"rate={cell.rate:.4f} se={cell.se:.4f} n={cell.replicates}",
+                file=sys.stderr,
+            )
+        fh.write(table.to_csv_string() if args.format == "csv" else table.to_markdown())
     return EXIT_OK
 
 
@@ -225,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is sys.__stdout__:  # keep the interpreter's last flush from failing again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (InputError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:  # BrokenPipeError is caught above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

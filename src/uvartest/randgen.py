@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -193,6 +193,7 @@ def sample_noise(
 class Balanced:
     """Every one of the k groups has exactly m observations."""
 
+    kind: ClassVar[str] = "balanced"
     k: int
     m: int
 
@@ -206,6 +207,10 @@ class Balanced:
     def label(self) -> str:
         return f"balanced(m={self.m})"
 
+    def sizes(self, rng: np.random.Generator) -> np.ndarray:
+        """Group sizes of one realized design; draws nothing from ``rng``."""
+        return np.full(self.k, self.m)
+
 
 @dataclass(frozen=True)
 class ShiftedGeometric:
@@ -215,6 +220,7 @@ class ShiftedGeometric:
     ``shift``, which must be at least 2.
     """
 
+    kind: ClassVar[str] = "geometric"
     k: int
     p: float
     shift: int = 2
@@ -231,11 +237,18 @@ class ShiftedGeometric:
     def label(self) -> str:
         return f"geometric(p={self.p})+{self.shift}"
 
+    def sizes(self, rng: np.random.Generator) -> np.ndarray:
+        """Group sizes of one realized design, drawn from ``rng``."""
+        # numpy's geometric counts trials (support {1, 2, ...}); subtract 1
+        # for the failures-before-success form used here.
+        return rng.geometric(self.p, self.k) - 1 + self.shift
+
 
 @dataclass(frozen=True)
 class UniformSizes:
     """Group sizes drawn uniformly from the integers lo..hi inclusive."""
 
+    kind: ClassVar[str] = "uniform"
     k: int
     lo: int
     hi: int
@@ -252,25 +265,16 @@ class UniformSizes:
     def label(self) -> str:
         return f"uniform({self.lo}..{self.hi})"
 
+    def sizes(self, rng: np.random.Generator) -> np.ndarray:
+        """Group sizes of one realized design, drawn from ``rng``."""
+        return rng.integers(self.lo, self.hi + 1, self.k)
+
 
 DesignGen = Union[Balanced, ShiftedGeometric, UniformSizes]
-
-
-def _group_sizes(gen: DesignGen, rng: np.random.Generator | None) -> np.ndarray:
-    """Group sizes of one realized design as an integer array; balanced
-    designs draw nothing from ``rng``."""
-    if isinstance(gen, Balanced):
-        return np.full(gen.k, gen.m)
-    if isinstance(gen, ShiftedGeometric):
-        # numpy's geometric counts trials (support {1, 2, ...}); subtract 1
-        # for the failures-before-success form used here.
-        return rng.geometric(gen.p, gen.k) - 1 + gen.shift
-    if isinstance(gen, UniformSizes):
-        return rng.integers(gen.lo, gen.hi + 1, gen.k)
-    raise TypeError(f"unknown design generator {gen!r}")
+# Design generators by the ``kind`` name a scenario config gives them.
+_DESIGN_KINDS = {cls.kind: cls for cls in (Balanced, ShiftedGeometric, UniformSizes)}
 
 
 def gen_design(gen: DesignGen, seed: "SeedSpec | np.random.Generator") -> Design:
     """Realize a design from a generator; deterministic given the seed."""
-    rng = None if isinstance(gen, Balanced) else _resolve_rng(seed)
-    return Design(tuple(_group_sizes(gen, rng).tolist()))
+    return Design(tuple(gen.sizes(_resolve_rng(seed)).tolist()))

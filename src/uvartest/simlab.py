@@ -18,15 +18,17 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from .core import Dataset, TestResult, _p_values, _statistics, u_test
 from .randgen import (
+    _DESIGN_KINDS,
     Balanced,
     DesignGen,
     NoiseFamily,
@@ -34,7 +36,6 @@ from .randgen import (
     SeedSpec,
     ShiftedGeometric,
     UniformSizes,
-    _group_sizes,
     _resolve_rng,
     sample_noise,
 )
@@ -122,7 +123,8 @@ class RejectionCell:
     replicates: int
 
 
-_CSV_COLUMNS = ("scenario", "k", "design", "sigma_b2", "method", "rate", "se", "replicates")
+_CSV_COLUMNS = tuple(f.name for f in fields(RejectionCell))
+_CSV_TYPES = tuple(get_type_hints(RejectionCell)[name] for name in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,19 +145,7 @@ class RejectionTable:
         """Write the table; ``buf`` is a text file object."""
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for c in self.cells:
-            writer.writerow(
-                [
-                    c.scenario,
-                    c.k,
-                    c.design,
-                    repr(c.sigma_b2),
-                    c.method,
-                    repr(c.rate),
-                    repr(c.se),
-                    c.replicates,
-                ]
-            )
+        writer.writerows([getattr(c, name) for name in _CSV_COLUMNS] for c in self.cells)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -173,18 +163,7 @@ class RejectionTable:
         for row in reader:
             if len(row) != len(_CSV_COLUMNS):
                 raise ValueError(f"malformed row {row!r}")
-            cells.append(
-                RejectionCell(
-                    scenario=row[0],
-                    k=int(row[1]),
-                    design=row[2],
-                    sigma_b2=float(row[3]),
-                    method=row[4],
-                    rate=float(row[5]),
-                    se=float(row[6]),
-                    replicates=int(row[7]),
-                )
-            )
+            cells.append(RejectionCell(*(kind(v) for kind, v in zip(_CSV_TYPES, row))))
         return cls(cells=tuple(cells))
 
     def to_markdown(self) -> str:
@@ -317,7 +296,7 @@ def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, 
     block, used = [], 0
     for r in range(spec.replicates):
         rng = spec.seed.generator(*path, r)
-        sizes = _group_sizes(gen, rng) if fixed_sizes is None else fixed_sizes
+        sizes = gen.sizes(rng) if fixed_sizes is None else fixed_sizes
         b = sample_noise(b_spec, gen.k, rng)
         y = spec.mu + np.repeat(b, sizes)
         y += sample_noise(spec.e_spec, y.size, rng)
@@ -350,7 +329,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     diagnostics: dict[tuple[str, int, str, float, str], int] = {}
     for cell_index, gen in enumerate(spec.design_gens):
         redraw = spec.redraw_design_per_replicate
-        fixed_sizes = None if redraw else _group_sizes(gen, spec.seed.generator(cell_index))
+        fixed_sizes = None if redraw else gen.sizes(spec.seed.generator(cell_index))
         for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
@@ -471,71 +450,82 @@ def preset(name: str) -> ScenarioSpec:
 # Configuration (de)serialization, used by the command-line front end
 # --------------------------------------------------------------------------
 
-_DESIGN_KINDS = {"balanced", "geometric", "uniform"}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array", Mapping: "an object"}
 
 
-def _mapping(d, requirement: str) -> Mapping:
-    if not isinstance(d, Mapping):
-        raise TypeError(f"{requirement}, got {d!r}")
-    return d
+def _typed(value, kind: type, name: str, key: str | None = None):
+    """``value`` (field ``key`` of the config entry ``name``, or the entry
+    itself) as the JSON type ``kind``, or a ValueError naming both.  An
+    integer is a number, and an integral number such as 3.0 is an integer;
+    a boolean is neither."""
+    if isinstance(value, bool) == (kind is bool):
+        if kind is float and isinstance(value, int):
+            return float(value)
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, kind):
+            return value
+    what = "" if key is None else f" {key!r}"
+    raise ValueError(f"{name}:{what} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
 
 
-def _design_gen_from_dict(d: Mapping) -> DesignGen:
-    kind = _mapping(d, "a design must be an object").get("kind")
-    if kind == "balanced":
-        return Balanced(k=int(d["k"]), m=int(d["m"]))
-    if kind == "geometric":
-        return ShiftedGeometric(k=int(d["k"]), p=float(d["p"]), shift=int(d.get("shift", 2)))
-    if kind == "uniform":
-        return UniformSizes(k=int(d["k"]), lo=int(d["lo"]), hi=int(d["hi"]))
-    raise ValueError(f"unknown design kind {kind!r}; expected one of {sorted(_DESIGN_KINDS)}")
+def _read(entry: Mapping, key: str, kind: type, name: str, default=MISSING):
+    """Field ``key`` of the config entry ``name`` as the JSON type ``kind``.
+    A missing key takes ``default`` and is an error without one; a key whose
+    default is null may be null."""
+    if key not in entry or (entry[key] is None and default is None):
+        if default is MISSING:
+            raise ValueError(f"{name}: missing key {key!r}")
+        return default
+    return _typed(entry[key], kind, name, key)
 
 
-def _noise_spec_from_dict(d: Mapping, default_variance: float = 1.0) -> NoiseSpec:
-    family = NoiseFamily(d["family"])
+def _design_gen_from_dict(entry, name: str) -> DesignGen:
+    """A design generator from the fields of the class its ``kind`` names."""
+    kind = _read(_typed(entry, Mapping, name), "kind", str, name)
+    if kind not in _DESIGN_KINDS:
+        raise ValueError(
+            f"{name}: unknown design kind {kind!r}; expected one of {sorted(_DESIGN_KINDS)}"
+        )
+    cls = _DESIGN_KINDS[kind]
+    hints = get_type_hints(cls)
+    return cls(*(_read(entry, f.name, hints[f.name], name, f.default) for f in fields(cls)))
+
+
+def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
     return NoiseSpec(
-        family=family,
-        target_variance=float(d.get("variance", default_variance)),
-        df=None if d.get("df") is None else float(d["df"]),
-        skew=None if d.get("skew") is None else float(d["skew"]),
+        family=NoiseFamily(_read(entry, "family", str, name)),
+        target_variance=_read(entry, "variance", float, name, 1.0),
+        df=_read(entry, "df", float, name, None),
+        skew=_read(entry, "skew", float, name, None),
     )
 
 
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
-    """Build a scenario from a plain mapping (parsed JSON configuration)."""
-    seed_cfg = _mapping(d, "a scenario config must be an object").get("seed", {})
-    if isinstance(seed_cfg, int):
-        seed = SeedSpec(seed_cfg)
-    else:
-        seed_cfg = _mapping(seed_cfg, "seed must be an integer or an object")
-        seed = SeedSpec(
-            master_seed=int(seed_cfg.get("master_seed", 0)),
-            stream_id=int(seed_cfg.get("stream_id", 0)),
-        )
+    """Build a scenario from a parsed JSON configuration.
+
+    Every field is checked against its JSON type; a missing required key or
+    a value of the wrong type raises ValueError naming the entry and key."""
+    designs = _read(_typed(d, Mapping, "scenario"), "designs", list, "scenario")
+    design_gens = tuple(_design_gen_from_dict(g, f"designs[{i}]") for i, g in enumerate(designs))
+    seed = d.get("seed", 0)
+    if not isinstance(seed, Mapping):  # a bare integer is the master seed
+        seed = {"master_seed": _read(d, "seed", int, "scenario", 0)}
+    grid = _read(d, "sigma_b2_grid", list, "scenario")
     return ScenarioSpec(
-        name=str(d.get("name", "custom")),
-        design_gens=tuple(_design_gen_from_dict(g) for g in d["designs"]),
-        redraw_design_per_replicate=bool(d.get("redraw_design_per_replicate", False)),
-        b_spec=_noise_spec_from_dict(d["b"]),
-        e_spec=_noise_spec_from_dict(d["e"]),
-        mu=float(d.get("mu", 0.0)),
-        sigma_b2_grid=tuple(float(v) for v in d["sigma_b2_grid"]),
-        alpha=float(d.get("alpha", 0.05)),
-        replicates=int(d.get("replicates", 10_000)),
-        seed=seed,
-        methods=tuple(d.get("methods", ("U",))),
-        n_perm=int(d.get("n_perm", 199)),
+        name=_read(d, "name", str, "scenario", "custom"),
+        design_gens=design_gens,
+        redraw_design_per_replicate=_read(d, "redraw_design_per_replicate", bool, "scenario", False),
+        b_spec=_noise_spec_from_dict(_read(d, "b", Mapping, "scenario"), "b"),
+        e_spec=_noise_spec_from_dict(_read(d, "e", Mapping, "scenario"), "e"),
+        mu=_read(d, "mu", float, "scenario", 0.0),
+        sigma_b2_grid=tuple(_typed(v, float, f"sigma_b2_grid[{i}]") for i, v in enumerate(grid)),
+        alpha=_read(d, "alpha", float, "scenario", 0.05),
+        replicates=_read(d, "replicates", int, "scenario", 10_000),
+        seed=SeedSpec(
+            _read(seed, "master_seed", int, "seed", 0), _read(seed, "stream_id", int, "seed", 0)
+        ),
+        methods=tuple(_read(d, "methods", list, "scenario", ["U"])),
+        n_perm=_read(d, "n_perm", int, "scenario", 199),
     )
-
-
-def scenario_with_overrides(
-    spec: ScenarioSpec,
-    replicates: int | None = None,
-    master_seed: int | None = None,
-) -> ScenarioSpec:
-    """Copy of the scenario with optional replicate-count or seed overrides."""
-    if replicates is not None:
-        spec = replace(spec, replicates=replicates)
-    if master_seed is not None:
-        spec = replace(spec, seed=SeedSpec(master_seed, spec.seed.stream_id))
-    return spec

@@ -56,6 +56,17 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+# A complete config that runs in moments; the wrong-shape cases below each
+# change one field of it.
+SMALL_CONFIG = {
+    "designs": [{"kind": "balanced", "k": 3, "m": 2}],
+    "b": {"family": "normal"},
+    "e": {"family": "normal"},
+    "sigma_b2_grid": [0.0],
+    "replicates": 2,
+}
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -283,8 +294,22 @@ class TestCmdSimulate:
             {"seed": 1.5, "designs": [{"kind": "balanced", "k": 3, "m": 2}]},
             {"designs": ["balanced"]},
             [1, 2],
+            {**SMALL_CONFIG, "redraw_design_per_replicate": "false"},
+            {**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3.7, "m": 2}]},
+            {**SMALL_CONFIG, "replicates": 2.5},
+            {**SMALL_CONFIG, "replicates": True},
+            {**SMALL_CONFIG, "methods": "U"},
         ],
-        ids=["float-seed", "design-not-an-object", "top-level-list"],
+        ids=[
+            "float-seed",
+            "design-not-an-object",
+            "top-level-list",
+            "redraw-as-string",
+            "fractional-k",
+            "fractional-replicates",
+            "boolean-replicates",
+            "methods-as-string",
+        ],
     )
     def test_config_of_the_wrong_shape_exits_2(self, config, tmp_path, capsys):
         path = tmp_path / "shape.json"
@@ -294,6 +319,22 @@ class TestCmdSimulate:
         assert err.startswith(f"error: invalid scenario config {path}: ")
         assert "Traceback" not in err
 
+    def test_missing_design_field_is_named(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3}]}))
+        code, _, err = _run(capsys, "simulate", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert "designs[0]" in err and "'m'" in err
+
+    def test_integral_float_is_an_integer(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(
+            json.dumps({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3.0, "m": 2}]})
+        )
+        code, out, _ = _run(capsys, "simulate", str(path))
+        assert code == EXIT_OK
+        assert RejectionTable.from_csv(io.StringIO(out)).cells[0].k == 3
+
     def test_unwritable_out_exits_2(self, tiny_config, tmp_path, capsys):
         target = tmp_path / "missing" / "table.csv"
         code, _, err = _run(capsys, "simulate", tiny_config, "--replicates", "2",
@@ -301,6 +342,13 @@ class TestCmdSimulate:
         assert code == EXIT_INPUT_ERROR
         assert f"error: cannot write {target}: " in err
         assert "Traceback" not in err
+
+    def test_unwritable_out_fails_before_the_run(self, tiny_config, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        code, _, err = _run(capsys, "simulate", tiny_config, "--replicates", "2",
+                            "--out", str(target))
+        assert code == EXIT_INPUT_ERROR
+        assert "rate=" not in err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
