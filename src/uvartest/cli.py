@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -189,6 +190,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once: parsing only reads the parser, so concurrent calls of main
+# can share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uvartest",

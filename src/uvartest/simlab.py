@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Dataset, TestResult, _p_values, _statistics, u_test
+from .core import Dataset, TestResult, _rejections, _statistics, u_test
 from .randgen import (
     _DESIGN_KINDS,
     Balanced,
@@ -314,11 +314,14 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     Replicates are drawn one by one, each from its own derived stream, and
     stacked into blocks of at most 2**16 values, whether the design is
     fixed or redrawn per replicate.  Each block takes one statistic-kernel
-    call, and the U and F decisions come from the helper that ``u_test``
-    and ``f_test`` use.  PERM takes each row's statistic and degeneracy
-    flag from the same call, then draws that row's permutations from its
-    stream and counts exceedances as ``permutation_pvalue`` does.  A
-    degenerate row is counted once and reported under every method.
+    call.  U rejects a row as ``u_test`` does, by its normal tail; F
+    compares the row's statistic with the cached critical value of its
+    degrees of freedom, the smallest F whose ``f_sf`` is at most alpha, so
+    it rejects exactly where ``f_test`` would.  PERM takes each row's
+    statistic and degeneracy flag from the same call, then draws that row's
+    permutations from its stream and counts exceedances as
+    ``permutation_pvalue`` does.  A degenerate row is counted once and
+    reported under every method.
 
     ``workers`` must be at least 1.  It changes neither the result nor how
     the run executes: everything runs in this process.
@@ -343,8 +346,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
                 degenerate += int(np.count_nonzero(st.degenerate))
                 for method in spec.methods:
                     if method != "PERM":
-                        p = _p_values(method, st, sizes)
-                        rejections[method] += int(np.count_nonzero(p <= spec.alpha))
+                        rejections[method] += _rejections(method, st, sizes, spec.alpha)
                         continue
                     rows = zip(block, st.j.tolist(), st.degenerate.tolist())
                     for (s, y, rng), j_obs, undefined in rows:
@@ -481,6 +483,15 @@ def _read(entry: Mapping, key: str, kind: type, name: str, default=MISSING):
     return _typed(entry[key], kind, name, key)
 
 
+def _build(entry: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError it raises prefixed by the
+    name of the config entry, as the readers above prefix theirs."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{entry}: {exc}") from None
+
+
 def _design_gen_from_dict(entry, name: str) -> DesignGen:
     """A design generator from the fields of the class its ``kind`` names."""
     kind = _read(_typed(entry, Mapping, name), "kind", str, name)
@@ -490,12 +501,15 @@ def _design_gen_from_dict(entry, name: str) -> DesignGen:
         )
     cls = _DESIGN_KINDS[kind]
     hints = get_type_hints(cls)
-    return cls(*(_read(entry, f.name, hints[f.name], name, f.default) for f in fields(cls)))
+    args = [_read(entry, f.name, hints[f.name], name, f.default) for f in fields(cls)]
+    return _build(name, cls, *args)
 
 
 def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
-    return NoiseSpec(
-        family=NoiseFamily(_read(entry, "family", str, name)),
+    return _build(
+        name,
+        NoiseSpec,
+        family=_build(name, NoiseFamily, _read(entry, "family", str, name)),
         target_variance=_read(entry, "variance", float, name, 1.0),
         df=_read(entry, "df", float, name, None),
         skew=_read(entry, "skew", float, name, None),
@@ -505,15 +519,18 @@ def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
     """Build a scenario from a parsed JSON configuration.
 
-    Every field is checked against its JSON type; a missing required key or
-    a value of the wrong type raises ValueError naming the entry and key."""
+    Every field is checked against its JSON type; a missing required key, a
+    value of the wrong type or one its class refuses raises ValueError
+    naming the entry."""
     designs = _read(_typed(d, Mapping, "scenario"), "designs", list, "scenario")
     design_gens = tuple(_design_gen_from_dict(g, f"designs[{i}]") for i, g in enumerate(designs))
     seed = d.get("seed", 0)
     if not isinstance(seed, Mapping):  # a bare integer is the master seed
         seed = {"master_seed": _read(d, "seed", int, "scenario", 0)}
     grid = _read(d, "sigma_b2_grid", list, "scenario")
-    return ScenarioSpec(
+    return _build(
+        "scenario",
+        ScenarioSpec,
         name=_read(d, "name", str, "scenario", "custom"),
         design_gens=design_gens,
         redraw_design_per_replicate=_read(d, "redraw_design_per_replicate", bool, "scenario", False),
@@ -523,8 +540,11 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
         sigma_b2_grid=tuple(_typed(v, float, f"sigma_b2_grid[{i}]") for i, v in enumerate(grid)),
         alpha=_read(d, "alpha", float, "scenario", 0.05),
         replicates=_read(d, "replicates", int, "scenario", 10_000),
-        seed=SeedSpec(
-            _read(seed, "master_seed", int, "seed", 0), _read(seed, "stream_id", int, "seed", 0)
+        seed=_build(
+            "seed",
+            SeedSpec,
+            _read(seed, "master_seed", int, "seed", 0),
+            _read(seed, "stream_id", int, "seed", 0),
         ),
         methods=tuple(_read(d, "methods", list, "scenario", ["U"])),
         n_perm=_read(d, "n_perm", int, "scenario", 199),

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -71,6 +72,21 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _PerThreadStdout(io.TextIOBase):
+    """Standard output that keeps each thread's writes apart."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, s: str) -> int:
+        return self._local.buf.write(s)
+
+    def call(self, argv) -> tuple[int, str]:
+        """(exit status, output) of ``main(argv)`` in this thread."""
+        self._local.buf = io.StringIO()
+        return main(argv), self._local.buf.getvalue()
 
 
 class TestCmdTest:
@@ -208,6 +224,36 @@ class TestCmdTest:
         assert code == EXIT_OK
         assert json.loads(out)["n"] == 4
 
+    def test_concurrent_calls_report_their_own_data(self, worked_csv, tmp_path, monkeypatch):
+        other = tmp_path / "other.csv"
+        other.write_text("treatment,value\na,1\na,5\nb,2\nb,9\nc,4\nc,4.5\n")
+        files = [worked_csv, str(other)]
+        paths = files * 2  # four threads on two cores
+        stdout = _PerThreadStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        expected = {path: stdout.call(["test", path, "--method", "both"]) for path in files}
+        assert json.loads(expected[worked_csv][1])[0]["n"] == 4
+        assert json.loads(expected[str(other)][1])[0]["n"] == 6
+        results = {i: [] for i in range(len(paths))}
+
+        def client(i):
+            for _ in range(25):
+                results[i].append(stdout.call(["test", paths[i], "--method", "both"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(len(paths))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, path in enumerate(paths):
+            assert results[i] == [expected[path]] * 25
+
 
 class TestCmdSimulate:
     def test_writes_csv(self, tiny_config, tmp_path, capsys):
@@ -289,16 +335,31 @@ class TestCmdSimulate:
         assert code == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize(
-        "config",
+        ("config", "entry"),
         [
-            {"seed": 1.5, "designs": [{"kind": "balanced", "k": 3, "m": 2}]},
-            {"designs": ["balanced"]},
-            [1, 2],
-            {**SMALL_CONFIG, "redraw_design_per_replicate": "false"},
-            {**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3.7, "m": 2}]},
-            {**SMALL_CONFIG, "replicates": 2.5},
-            {**SMALL_CONFIG, "replicates": True},
-            {**SMALL_CONFIG, "methods": "U"},
+            ({"seed": 1.5, "designs": [{"kind": "balanced", "k": 3, "m": 2}]}, "scenario"),
+            ({"designs": ["balanced"]}, "designs[0]"),
+            ([1, 2], "scenario"),
+            ({**SMALL_CONFIG, "redraw_design_per_replicate": "false"}, "scenario"),
+            ({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3.7, "m": 2}]}, "designs[0]"),
+            ({**SMALL_CONFIG, "replicates": 2.5}, "scenario"),
+            ({**SMALL_CONFIG, "replicates": True}, "scenario"),
+            ({**SMALL_CONFIG, "methods": "U"}, "scenario"),
+            # values of the right type that a constructor refuses
+            ({**SMALL_CONFIG, "e": {"family": "cauchy"}}, "e"),
+            ({**SMALL_CONFIG, "seed": -1}, "seed"),
+            (
+                {
+                    **SMALL_CONFIG,
+                    "designs": [
+                        {"kind": "balanced", "k": 3, "m": 2},
+                        {"kind": "balanced", "k": 1, "m": 2},
+                    ],
+                },
+                "designs[1]",
+            ),
+            ({**SMALL_CONFIG, "e": {"family": "scaled_t", "df": 2}}, "e"),
+            ({**SMALL_CONFIG, "alpha": 1.5}, "scenario"),
         ],
         ids=[
             "float-seed",
@@ -309,14 +370,19 @@ class TestCmdSimulate:
             "fractional-replicates",
             "boolean-replicates",
             "methods-as-string",
+            "unknown-noise-family",
+            "negative-seed",
+            "one-group-in-second-design",
+            "scaled-t-df-2",
+            "alpha-above-1",
         ],
     )
-    def test_config_of_the_wrong_shape_exits_2(self, config, tmp_path, capsys):
+    def test_config_of_the_wrong_shape_exits_2(self, config, entry, tmp_path, capsys):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(config))
         code, _, err = _run(capsys, "simulate", str(path))
         assert code == EXIT_INPUT_ERROR
-        assert err.startswith(f"error: invalid scenario config {path}: ")
+        assert err.startswith(f"error: invalid scenario config {path}: {entry}: ")
         assert "Traceback" not in err
 
     def test_missing_design_field_is_named(self, tmp_path, capsys):

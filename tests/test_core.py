@@ -12,6 +12,7 @@ from uvartest.core import (
     Dataset,
     DegenerateWithinVariance,
     Design,
+    _f_critical,
     _statistics,
     b_n_centered,
     between_pair_u,
@@ -576,6 +577,41 @@ class TestFSf:
             f_sf(-0.1, 2, 2)
         with pytest.raises(ValueError):
             f_sf(1.0, 0, 2)
+
+
+# Degrees of freedom from one-way layouts of 2 to 1,000 groups and 4 to
+# 10 million observations.
+_D1_GRID = (1, 2, 3, 9, 54, 99, 999)
+_D2_GRID = (2, 3, 10, 40, 400, 11_945, 1e5, 1e6, 1e7)
+
+
+class TestFTailAgainstScipy:
+    def test_matches_betainc_over_the_grid(self):
+        from scipy import special
+
+        tails = [10.0**-e for e in (0.3, 1, 2, 5, 10, 20, 50, 100, 200, 300)]
+        misses, smallest = [], 1.0
+        for d1 in _D1_GRID:
+            for d2 in _D2_GRID:
+                # F at (about) each tail probability, from the beta
+                # quantile, which is NaN for the two smallest tails at d2 = 10
+                ys = [float(special.betaincinv(d2 / 2, d1 / 2, p)) for p in tails]
+                for x in [0.0] + [d2 * (1.0 - y) / (d1 * y) for y in ys if 0.0 < y <= 1.0]:
+                    ref = float(special.betainc(d2 / 2, d1 / 2, d2 / (d2 + d1 * x)))
+                    got = f_sf(x, d1, d2)
+                    smallest = min(smallest, ref)
+                    if not (abs(got - ref) <= 1e-9 * ref or abs(got - ref) <= 1e-12):
+                        misses.append((d1, d2, x, ref, got))
+        assert misses == []
+        assert smallest < 1e-299
+
+    def test_critical_value_brackets_the_level(self):
+        for alpha in (0.01, 0.05, 0.1):
+            for d1 in _D1_GRID:
+                for d2 in _D2_GRID:
+                    crit = _f_critical(alpha, float(d1), float(d2))
+                    below = math.nextafter(crit, 0.0)
+                    assert f_sf(crit, d1, d2) <= alpha < f_sf(below, d1, d2), (alpha, d1, d2)
 
 
 # ---------------------------------------------------------------------------
