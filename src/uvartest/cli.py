@@ -58,11 +58,12 @@ class InputError(Exception):
 def _read_grouped_csv(path: str) -> list[tuple[str, list[float]]]:
     """Parse a long-form CSV into (treatment, values) groups.
 
-    Groups keep first-appearance order.  Raises InputError naming the
-    offending line for malformed content.
+    Groups keep first-appearance order; a byte-order mark and blank lines
+    are skipped.  Raises InputError naming the offending line for malformed
+    content.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     groups: dict[str, list[float]] = {}
@@ -75,6 +76,8 @@ def _read_grouped_csv(path: str) -> list[tuple[str, list[float]]]:
             )
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2:
+                if not row:  # a blank line
+                    continue
                 raise InputError(
                     f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
                 )

@@ -438,14 +438,16 @@ def f_sf(x: float, d1: float, d2: float) -> float:
     Against ``scipy.special.betainc`` the result is within a relative 1e-9
     or an absolute 1e-12 for d1 in 1..999, d2 in 2..1e7 and tail
     probabilities from 1e-300 to 1 (tests/test_core.py).  ``f_sf(0, ...)``
-    is exactly 1.  Raises ArithmeticError if the continued fraction has not
-    converged after ``_CF_MAX_STEPS`` steps, which takes d1 and d2 both in
-    the hundreds of millions.
+    is exactly 1.  Raises ValueError for an x that is negative or NaN and
+    for degrees of freedom that are not finite and positive, and
+    ArithmeticError if the continued fraction has not converged after
+    ``_CF_MAX_STEPS`` steps, which takes d1 and d2 both in the hundreds of
+    millions.
     """
     if not x >= 0:
         raise ValueError("F statistic must be a nonnegative number")
-    if not (d1 > 0 and d2 > 0):
-        raise ValueError("degrees of freedom must be positive")
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf):
+        raise ValueError("degrees of freedom must be finite and positive")
     ratio = d1 * x / d2  # (1 - y) / y
     if ratio == 0.0:
         return 1.0

@@ -116,8 +116,9 @@ class SkewTMoments:
     skewness: float
 
 
-def _skew_t_mean_var(lambda_skew: float, nu: float) -> tuple[float, float]:
-    """Exact mean and variance of the unit skew-t; needs nu > 2."""
+def _skew_t_mean_var(lambda_skew: float, nu: float) -> tuple[float, float, float]:
+    """Exact mean and variance of the unit skew-t, and its
+    delta = lambda / sqrt(1 + lambda^2); needs nu > 2."""
     if nu <= 2:
         raise ValueError("mean and variance of the skew-t require df > 2")
     delta = lambda_skew / math.sqrt(1.0 + lambda_skew * lambda_skew)
@@ -126,7 +127,7 @@ def _skew_t_mean_var(lambda_skew: float, nu: float) -> tuple[float, float]:
     )
     mean = b_nu * delta
     variance = nu / (nu - 2.0) - mean * mean
-    return mean, variance
+    return mean, variance, delta
 
 
 def skew_t_moments(lambda_skew: float, nu: float) -> SkewTMoments:
@@ -136,12 +137,9 @@ def skew_t_moments(lambda_skew: float, nu: float) -> SkewTMoments:
     and ``nu`` degrees of freedom.  Mean and variance exist for nu > 2,
     skewness only for nu > 3; smaller nu raises.
     """
-    if nu <= 2:
-        raise ValueError("mean and variance of the skew-t require df > 2")
+    mean, variance, delta = _skew_t_mean_var(lambda_skew, nu)
     if nu <= 3:
         raise ValueError("skewness of the skew-t requires df > 3")
-    mean, variance = _skew_t_mean_var(lambda_skew, nu)
-    delta = lambda_skew / math.sqrt(1.0 + lambda_skew * lambda_skew)
     skewness = (
         mean
         * (
@@ -179,13 +177,12 @@ def sample_noise(
         return rng.standard_t(spec.df, count) * scale
     # Standardized skew-t: a skew-normal numerator over an independent
     # chi-square-based denominator, then exact-moment standardization.
-    delta = spec.skew / math.sqrt(1.0 + spec.skew * spec.skew)
+    mean, variance, delta = _skew_t_mean_var(spec.skew, spec.df)
     u0 = rng.standard_normal(count)
     u1 = rng.standard_normal(count)
     z = delta * np.abs(u0) + math.sqrt(1.0 - delta * delta) * u1
     chi = rng.chisquare(spec.df, count)
     y = z / np.sqrt(chi / spec.df)
-    mean, variance = _skew_t_mean_var(spec.skew, spec.df)
     return (y - mean) / math.sqrt(variance) * math.sqrt(v)
 
 

@@ -20,13 +20,14 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Dataset, TestResult, _rejections, _statistics, u_test
+from .core import Dataset, TestResult, _check_alpha, _rejections, _statistics, u_test
 from .randgen import (
     _DESIGN_KINDS,
     Balanced,
@@ -92,14 +93,15 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.design_gens:
             raise ValueError("at least one design generator is required")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        _check_alpha(self.alpha)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if not self.sigma_b2_grid:
             raise ValueError("sigma_b2_grid must not be empty")
-        if any(v < 0 for v in self.sigma_b2_grid):
-            raise ValueError("sigma_b2_grid values must be nonnegative")
+        if not all(0 <= v < math.inf for v in self.sigma_b2_grid):
+            raise ValueError("sigma_b2_grid values must be finite and nonnegative")
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
@@ -201,20 +203,14 @@ def mc_se(rate: float, n: int) -> float:
 
 def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]:
     """All ordered splits of positions 0..n-1 into groups of the given sizes,
-    yielded as index tuples in group order."""
-
-    def rec(remaining: tuple[int, ...], sizes: tuple[int, ...]):
-        if not sizes:
-            yield ()
-            return
-        head, *tail = sizes
-        for combo in itertools.combinations(remaining, head):
-            chosen = set(combo)
-            rest = tuple(i for i in remaining if i not in chosen)
-            for suffix in rec(rest, tuple(tail)):
-                yield combo + suffix
-
-    yield from rec(tuple(range(n)), tuple(sizes))
+    yielded as index tuples in group order, each group's positions
+    increasing.  Group i picks its positions by rank among the ``left[i]``
+    positions that the groups before it left free; its j-th rank r pops
+    entry r - j of the free list, past the j positions it popped before."""
+    left = itertools.accumulate(sizes[:-1], operator.sub, initial=n)
+    for ranks in itertools.product(*map(itertools.combinations, map(range, left), sizes)):
+        free = list(range(n))
+        yield tuple(free.pop(r - j) for combo in ranks for j, r in enumerate(combo))
 
 
 def _exceedances(pooled: np.ndarray, sizes: np.ndarray, j_obs: float, assignments) -> int:
@@ -258,9 +254,7 @@ def permutation_pvalue(
     design, n = dataset.design, dataset.design.n
 
     if exhaustive:
-        total = math.factorial(n)
-        for size in design.group_sizes:
-            total //= math.factorial(size)
+        total = math.factorial(n) // math.prod(map(math.factorial, design.group_sizes))
         if total > _EXHAUSTIVE_LIMIT:
             raise ValueError(
                 f"{total} distinct assignments exceed the exhaustive limit "

@@ -3,6 +3,7 @@ deterministic table output."""
 
 import io
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -224,6 +225,27 @@ class TestCmdTest:
         assert code == EXIT_OK
         assert json.loads(out)["n"] == 4
 
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(WORKED_CSV.encode("utf-8-sig"))
+        code, out, _ = _run(capsys, "test", str(path), "--method", "u")
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == 4
+
+    def test_trailing_blank_line_accepted(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text(WORKED_CSV + "\n")
+        code, out, _ = _run(capsys, "test", str(path), "--method", "u")
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == 4
+
+    def test_blank_line_keeps_later_line_numbers(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("treatment,value\na,1\n\na,2\nb,x\nb,4\n")
+        code, _, err = _run(capsys, "test", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert "line 5" in err
+
     def test_concurrent_calls_report_their_own_data(self, worked_csv, tmp_path, monkeypatch):
         other = tmp_path / "other.csv"
         other.write_text("treatment,value\na,1\na,5\nb,2\nb,9\nc,4\nc,4.5\n")
@@ -360,6 +382,8 @@ class TestCmdSimulate:
             ),
             ({**SMALL_CONFIG, "e": {"family": "scaled_t", "df": 2}}, "e"),
             ({**SMALL_CONFIG, "alpha": 1.5}, "scenario"),
+            ({**SMALL_CONFIG, "mu": math.inf}, "scenario"),
+            ({**SMALL_CONFIG, "sigma_b2_grid": [0, 0.5, math.nan]}, "scenario"),
         ],
         ids=[
             "float-seed",
@@ -375,6 +399,8 @@ class TestCmdSimulate:
             "one-group-in-second-design",
             "scaled-t-df-2",
             "alpha-above-1",
+            "mu-infinite",
+            "grid-nan",
         ],
     )
     def test_config_of_the_wrong_shape_exits_2(self, config, entry, tmp_path, capsys):

@@ -577,6 +577,10 @@ class TestFSf:
             f_sf(-0.1, 2, 2)
         with pytest.raises(ValueError):
             f_sf(1.0, 0, 2)
+        with pytest.raises(ValueError):
+            f_sf(1.0, 2, math.inf)
+        with pytest.raises(ValueError):
+            f_sf(1.0, math.inf, 5)
 
 
 # Degrees of freedom from one-way layouts of 2 to 1,000 groups and 4 to

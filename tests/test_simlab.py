@@ -24,6 +24,7 @@ from uvartest.simlab import (
     PRESET_NAMES,
     RejectionTable,
     ScenarioSpec,
+    _iter_assignments,
     mc_se,
     permutation_pvalue,
     preset,
@@ -319,6 +320,18 @@ class TestPermutation:
         assert res.p_value == pytest.approx(5 / 7, rel=1e-14)
         assert res.statistic == pytest.approx(j_obs, rel=1e-14)
         assert res.extras["n_perm"] == 6
+
+    @pytest.mark.parametrize("sizes", [(3,), (1, 4), (2, 2, 3), (3, 1, 2, 2), (2, 2, 2, 2, 2)])
+    def test_assignment_enumeration(self, sizes):
+        n = sum(sizes)
+        rows = list(_iter_assignments(n, sizes))
+        assert len(rows) == math.factorial(n) // math.prod(map(math.factorial, sizes))
+        assert len(set(rows)) == len(rows)
+        ends = list(itertools.accumulate(sizes))
+        for row in rows:
+            assert sorted(row) == list(range(n))
+            for lo, hi in zip([0] + ends[:-1], ends):
+                assert list(row[lo:hi]) == sorted(row[lo:hi])
 
     def test_zero_permutations_invalid(self):
         ds = Dataset([[0, 2], [1, 3]])
