@@ -229,6 +229,17 @@ def _exceedances(pooled: np.ndarray, sizes: np.ndarray, j_obs: float, assignment
     return exceed
 
 
+def _permutation_stacks(rng: np.random.Generator, n: int, count: int) -> Iterable[np.ndarray]:
+    """``count`` permutations of range(n), drawn in the stacks that
+    ``_exceedances`` evaluates, one ``rng.permuted`` call each: the same
+    rows, and the same generator state after them, as ``count`` calls of
+    ``rng.permutation(n)``."""
+    rows = max(1, _CHUNK_VALUES // n)
+    for start in range(0, count, rows):
+        stack = np.broadcast_to(np.arange(n), (min(rows, count - start), n))
+        yield from rng.permuted(stack, axis=1)
+
+
 def permutation_pvalue(
     dataset: Dataset,
     n_perm: int | None = None,
@@ -267,8 +278,7 @@ def permutation_pvalue(
             raise ValueError("n_perm must be at least 1")
         if seed is None:
             raise ValueError("a seed is required for random permutations")
-        rng = _resolve_rng(seed)
-        assignments = (rng.permutation(n) for _ in range(n_perm))
+        assignments = _permutation_stacks(_resolve_rng(seed), n, n_perm)
         used = n_perm
 
     exceed = _exceedances(dataset.values, np.array([design.group_sizes]), j_obs, assignments)

@@ -5,16 +5,20 @@ enumeration, O(n^2) or worse) with no reuse of the library's fast paths, so
 agreement between the two is evidence, not tautology.  The one exception is
 ``reference_run_scenario``: the simulation engine as a plain loop over
 replicates and the public tests, against which the batched engine is held.
+``reference_read_grouped_csv`` is the CSV reader of ``uvartest test`` as a
+``csv.reader`` loop, against which the block reader is held.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from uvartest.cli import InputError
 from uvartest.core import Dataset, DegenerateWithinVariance, f_test, u_test
 from uvartest.randgen import gen_design, sample_noise
 from uvartest.simlab import RejectionCell, mc_se, permutation_pvalue
@@ -229,3 +233,51 @@ def reference_run_scenario(spec):
                 if undefined[method]:
                     degenerate[(spec.name, gen.k, gen.label, sigma_b2, method)] = undefined[method]
     return tuple(cells), degenerate
+
+
+def reference_read_grouped_csv(path) -> list[tuple[str, list[float]]]:
+    """(treatment, values) groups of a long-form CSV in first-appearance
+    order, read record by record with ``csv.reader`` and checked line by
+    line with the messages of ``uvartest test``; a ``csv.Error`` escapes."""
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    groups: dict[str, list[float]] = {}
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["treatment", "value"]:
+            raise InputError(
+                f"{path}: expected header 'treatment,value', got {header!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                if not row:  # a blank line
+                    continue
+                raise InputError(
+                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
+                )
+            treatment, raw_value = row
+            if not treatment:
+                raise InputError(f"{path}: line {lineno}: empty treatment label")
+            try:
+                value = float(raw_value)
+            except ValueError:
+                raise InputError(
+                    f"{path}: line {lineno}: value {raw_value!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(f"{path}: line {lineno}: value must be finite")
+            groups.setdefault(treatment, []).append(value)
+    if not groups:
+        raise InputError(f"{path}: no observations found")
+    for treatment, values in groups.items():
+        if len(values) < 2:
+            raise InputError(
+                f"{path}: treatment {treatment!r} has {len(values)} observation(s); "
+                "every treatment needs at least 2"
+            )
+    if len(groups) < 2:
+        raise InputError(f"{path}: need at least 2 treatments, found {len(groups)}")
+    return list(groups.items())

@@ -1,17 +1,32 @@
 """Tests for the command-line front end: JSON reports, exit codes and
 deterministic table output."""
 
+import csv
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uvartest.cli import EXIT_BROKEN_PIPE, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
+from uvartest import cli
+from uvartest.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_DEGENERATE,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    InputError,
+    main,
+)
 from uvartest.simlab import RejectionTable
+
+from oracles import reference_read_grouped_csv
 
 WORKED_CSV = "treatment,value\na,0\na,2\nb,1\nb,3\n"
 
@@ -246,6 +261,34 @@ class TestCmdTest:
         assert code == EXIT_INPUT_ERROR
         assert "line 5" in err
 
+    def test_quoted_fields_accepted(self, tmp_path, capsys):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"treatment","value"\n"a",0\na,"2"\n"b","1"\nb,3\n')
+        code, out, _ = _run(capsys, "test", str(path), "--method", "u")
+        assert code == EXIT_OK
+        assert json.loads(out)["group_sizes"] == [2, 2]
+
+    def test_cr_line_ends_accepted(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(WORKED_CSV.replace("\n", "\r").encode())
+        code, out, _ = _run(capsys, "test", str(path), "--method", "u")
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == 4
+
+    def test_over_long_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("treatment,value\na,1\na,2\nb," + "1" * 140_000 + "\nb,3\n")
+        code, _, err = _run(capsys, "test", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert f"{path}: line 4: field larger than field limit" in err
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("treatment,value\na,1\na,2\nb,3\nb,4\nc\u00e9,5\n".encode("latin-1"))
+        code, _, err = _run(capsys, "test", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert f"{path}: not UTF-8 text" in err
+
     def test_concurrent_calls_report_their_own_data(self, worked_csv, tmp_path, monkeypatch):
         other = tmp_path / "other.csv"
         other.write_text("treatment,value\na,1\na,5\nb,2\nb,9\nc,4\nc,4.5\n")
@@ -275,6 +318,102 @@ class TestCmdTest:
         assert not any(thread.is_alive() for thread in threads)
         for i, path in enumerate(paths):
             assert results[i] == [expected[path]] * 25
+
+
+def _read_both(path: str):
+    """(reference outcome, block reader outcome) for one file: the groups'
+    values as bytes, or the error message."""
+    try:
+        ref = ("groups", [np.array(v).tobytes() for _, v in reference_read_grouped_csv(path)])
+    except InputError as exc:
+        ref = ("error", str(exc))
+    except csv.Error as exc:  # the block reader names the line as well
+        ref = ("csv.Error", str(exc))
+    try:
+        new = ("groups", [g.tobytes() for g in cli._read_grouped_csv(path).groups])
+    except InputError as exc:
+        new = ("error", str(exc))
+    return ref, new
+
+
+def _assert_same_reading(path: str) -> None:
+    ref, new = _read_both(path)
+    if ref[0] == "csv.Error":
+        assert new[0] == "error" and new[1].startswith(f"{path}: line ")
+        assert new[1].endswith(f": {ref[1]}")
+    else:
+        assert new == ref
+
+
+_LABELS = st.sampled_from(["a", "b", "c", " a", "\u00e9", "a\x85b", "g\u20281"])
+_VALUES = st.one_of(
+    st.sampled_from(["1", "-2.5", " 1.5 ", "1_0", "\u0661\u0662", "-0.0"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_BAD_VALUES = st.sampled_from(["nan", "inf", "1e999", "x", "", " ", "0x1p3"])
+
+
+_HEADERS = ["treatment,value"] * 8 + ['"treatment","value"', "treatment,value,x", ""]
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_texts(draw) -> str:
+    """Records, quoted or not, and blank lines, each with its own line end,
+    and perhaps one line that the reader refuses."""
+    quoted = draw(st.booleans())
+    lines = [draw(st.sampled_from(_HEADERS))]
+    for label, value in draw(st.lists(st.tuples(_LABELS, _VALUES), max_size=30)):
+        plain = [f"{label},{value}"] * 6 + [""]
+        quotes = [f'"{label}",{value}', f'{label},"{value}"',
+                  '"a,b",1', '"a\nb",2', '"a""b",3', 'a,"4\r\n"']
+        lines.append(draw(st.sampled_from(plain + quotes * quoted)))
+    if draw(st.booleans()):
+        label, value, bad = draw(_LABELS), draw(_VALUES), draw(_BAD_VALUES)
+        refused = [f"{label},{bad}", f",{value}", " ", "\t", label, f"{label},{value},{value}"]
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(refused)))
+    ends = draw(st.lists(_LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestCsvReader:
+    """The block reader of ``uvartest test`` against the ``csv.reader`` loop
+    in ``oracles``: the same groups in the same order, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=_csv_texts(),
+        block=st.integers(1, 48),
+        limit=st.sampled_from([131_072, 131_072, 12, 20]),  # csv.field_size_limit()
+    )
+    def test_matches_the_reference(self, tmp_path_factory, text, block, limit):
+        path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+        path.write_bytes(text.encode())
+        old_block, old_limit = cli._BLOCK_CHARS, csv.field_size_limit(limit)
+        cli._BLOCK_CHARS = block
+        try:
+            _assert_same_reading(str(path))
+        finally:
+            cli._BLOCK_CHARS = old_block
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("tail", ["", "\n", "b,x\n", "b,3,4\n"])
+    def test_line_end_on_the_block_cut(self, tmp_path, end, offset, tail):
+        """A file just past one block whose first read ends one character
+        before, on, or one after the "\\r" of a line end."""
+        at = cli._BLOCK_CHARS - 1 + offset  # index, past the header, of that "\r"
+        for pad in itertools.count():
+            body = f"a,{'0' * pad}1{end}" + f"b,2.5{end}" * (at // 6 + 2)
+            if body[at] == "\r":
+                break
+        path = tmp_path / "cut.csv"
+        path.write_bytes(f"treatment,value{end}{body}{tail}a,7{end}".encode())
+        _assert_same_reading(str(path))
 
 
 class TestCmdSimulate:

@@ -415,6 +415,32 @@ class TestPermutationTies:
         assert not wrong, wrong
 
 
+class TestPermutationStacks:
+    """Random mode draws each stack of permutations with one call; the
+    counts and the stream must be those of one ``rng.permutation`` call
+    per permutation."""
+
+    @pytest.mark.parametrize(
+        "sizes, n_perm",
+        # n = 1352, 200: within one stack and across several; n = 12,000: 5 rows per stack
+        [((676, 676), 10), ((676, 676), 199), ((40,) * 5, 199), ((40,) * 5, 700), ((3000,) * 4, 13)],
+    )
+    def test_same_draws_as_one_call_each(self, sizes, n_perm):
+        rng = np.random.default_rng(sum(sizes) + n_perm)
+        ds = Dataset([rng.standard_normal(m) + 0.1 * i for i, m in enumerate(sizes)])
+        j_obs = u_test(ds).statistic
+        threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
+        reference, library = np.random.default_rng(9), np.random.default_rng(9)
+        ends = np.cumsum(sizes)[:-1]
+        exceed = 0
+        for _ in range(n_perm):
+            permuted = Dataset(np.split(ds.values[reference.permutation(ds.design.n)], ends))
+            exceed += u_test(permuted).statistic >= threshold
+        res = permutation_pvalue(ds, n_perm, library)
+        assert res.extras == {"n_perm": n_perm, "exceedances": exceed}
+        assert library.bit_generator.state == reference.bit_generator.state
+
+
 class TestPresets:
     def test_names_covered(self):
         assert set(PRESET_NAMES) == {
