@@ -523,6 +523,7 @@ class TestCmdSimulate:
             ({**SMALL_CONFIG, "alpha": 1.5}, "scenario"),
             ({**SMALL_CONFIG, "mu": math.inf}, "scenario"),
             ({**SMALL_CONFIG, "sigma_b2_grid": [0, 0.5, math.nan]}, "scenario"),
+            ({**SMALL_CONFIG, "methods": ["U", "U", "PERM", "PERM"]}, "scenario"),
         ],
         ids=[
             "float-seed",
@@ -540,6 +541,7 @@ class TestCmdSimulate:
             "alpha-above-1",
             "mu-infinite",
             "grid-nan",
+            "methods-repeated",
         ],
     )
     def test_config_of_the_wrong_shape_exits_2(self, config, entry, tmp_path, capsys):

@@ -7,11 +7,14 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from uvartest.core import Dataset, DegenerateWithinVariance, u_test
+from uvartest.core import Dataset, DegenerateWithinVariance, _statistics, u_test
 from uvartest.randgen import (
     Balanced,
     NoiseFamily,
@@ -24,6 +27,7 @@ from uvartest.simlab import (
     PRESET_NAMES,
     RejectionTable,
     ScenarioSpec,
+    _exceedances,
     _iter_assignments,
     mc_se,
     permutation_pvalue,
@@ -82,6 +86,11 @@ class TestScenarioValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             _tiny_scenario(methods=("U", "X"))
+
+    def test_repeated_method(self):
+        # each listing would add the method's rejections once more
+        with pytest.raises(ValueError, match="methods must not repeat"):
+            _tiny_scenario(methods=("U", "U", "PERM", "PERM"))
 
     def test_replicates(self):
         with pytest.raises(ValueError):
@@ -230,6 +239,23 @@ class TestBatchedEngine:
                 replicates=150,
                 sigma_b2_grid=(0.0, 0.05),
             ),
+            # a null cell: most rows pass 9 exceedances long before 199 permutations
+            dict(
+                design_gens=(Balanced(10, 2),),
+                methods=("U", "PERM"),
+                n_perm=199,
+                replicates=100,
+                sigma_b2_grid=(0.0,),
+            ),
+            # 2 / 200 == 0.01 exactly: rows with at most one exceedance reject
+            dict(
+                design_gens=(Balanced(10, 5),),
+                alpha=0.01,
+                methods=("U", "F", "PERM"),
+                n_perm=199,
+                replicates=100,
+                sigma_b2_grid=(0.0, 1.0),
+            ),
         ],
         ids=[
             "fixed-several-blocks",
@@ -241,6 +267,8 @@ class TestBatchedEngine:
             "redrawn-u-f-perm",
             "near-degenerate-perm",
             "perm-several-blocks",
+            "perm-null-stops-early",
+            "perm-alpha-0.01",
         ],
     )
     def test_matches_per_replicate_reference(self, overrides):
@@ -249,6 +277,38 @@ class TestBatchedEngine:
         cells, degenerate = reference_run_scenario(spec)
         assert table.cells == cells
         assert dict(table.degenerate) == degenerate
+
+
+class TestGoldenTables:
+    """Tables at 40 replicates, byte for byte as committed in tests/data.  A
+    change that means to move Monte Carlo values regenerates these files."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            replace(preset("table2-balanced-normal"), replicates=40),
+            replace(preset("table2-uniform-t"), replicates=40),
+            # the scenario of the benchmark's sim-perm workload
+            ScenarioSpec(
+                name="perm-small",
+                design_gens=(Balanced(10, 2), Balanced(10, 5)),
+                redraw_design_per_replicate=False,
+                b_spec=_NORMAL,
+                e_spec=_NORMAL,
+                mu=2.0,
+                sigma_b2_grid=(0.0, 0.5),
+                alpha=0.05,
+                replicates=40,
+                seed=SeedSpec(0),
+                methods=("U", "PERM"),
+                n_perm=199,
+            ),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_byte_identical(self, spec):
+        golden = (Path(__file__).parent / "data" / f"{spec.name}.csv").read_bytes()
+        assert run_scenario(spec).to_csv_string().encode() == golden
 
 
 class TestStatisticalBehaviour:
@@ -439,6 +499,36 @@ class TestPermutationStacks:
         res = permutation_pvalue(ds, n_perm, library)
         assert res.extras == {"n_perm": n_perm, "exceedances": exceed}
         assert library.bit_generator.state == reference.bit_generator.state
+
+
+class TestExceedanceStop:
+    """With ``stop``, the count equals the full count when that is at most
+    ``stop`` and passes ``stop`` otherwise, from no more assignments."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 5), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 300),
+        stop=st.integers(0, 40),
+    )
+    def test_against_the_full_count(self, sizes, seed, count, stop):
+        rng = np.random.default_rng(seed)
+        n, design = sum(sizes), np.array([sizes])
+        pooled = rng.integers(-4, 5, size=n) / 4.0  # few distinct values: many ties
+        observed = _statistics(pooled, design)
+        assume(not observed.degenerate[0])
+        j_obs = float(observed.j[0])
+        perms = [rng.permutation(n) for _ in range(count)]
+        full = _exceedances(pooled, design, j_obs, iter(perms))
+        draws = iter(perms)
+        stopped = _exceedances(pooled, design, j_obs, draws, stop)
+        used = count - sum(1 for _ in draws)
+        if full <= stop:
+            assert (stopped, used) == (full, count)
+        else:
+            assert stop < stopped <= full
+        assert _exceedances(pooled, design, j_obs, iter(perms[:used])) == stopped
 
 
 class TestPresets:
