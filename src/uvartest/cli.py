@@ -273,6 +273,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(spec, seed=SeedSpec(seed, spec.seed.stream_id))
     if args.replicates is not None:
         spec = dataclasses.replace(spec, replicates=args.replicates)
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     # Opened (and truncated) before the run, as by a shell redirect.
     try:
         out = None if args.out is None else open(args.out, "w", encoding="utf-8", newline="")

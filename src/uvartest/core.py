@@ -522,41 +522,49 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 
 
-def _bits(x: float) -> int:
-    """Bit pattern of a double; nonnegative doubles order as their patterns."""
-    return _INT64.unpack(_DOUBLE.pack(x))[0]
+def _key(x: float) -> int:
+    """Integer key of a double: keys order as the doubles do, -0.0 just
+    below 0.0, and adjacent doubles have adjacent keys.  A negative bit
+    pattern has its 63 low bits flipped, which :func:`_double` undoes."""
+    bits = _INT64.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else bits ^ (2**63 - 1)
 
 
-def _double(bits: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(bits))[0]
+def _double(key: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(key if key >= 0 else key ^ (2**63 - 1)))[0]
 
 
 @functools.lru_cache(maxsize=4096)
-def _f_critical(alpha: float, d1: float, d2: float) -> float:
-    """The smallest double F with ``f_sf(F, d1, d2) <= alpha``, so that
-    ``f >= _f_critical(alpha, d1, d2)`` decides as ``f_sf(f, d1, d2) <= alpha``.
+def _critical(alpha: float, *df: float) -> float:
+    """The smallest double t with ``tail(t) <= alpha``, where ``tail`` is
+    ``normal_sf`` when no degrees of freedom are given and
+    ``f_sf(., d1, d2)`` for ``df = (d1, d2)``.  Both tails do not increase,
+    so ``stat >= _critical(alpha, *df)`` decides as ``tail(stat) <= alpha``:
+    U and F decide by one comparison with a value computed once.
 
-    Doubling from 1 brackets it.  The bracket lo < hi, with
-    f_sf(lo) > alpha >= f_sf(hi), then narrows until lo and hi are adjacent
-    doubles.  Each step tries false position on log f_sf (the Illinois
+    The search starts from lo where the tail is 1, -inf for the normal and
+    0 for F, and doubling hi from 1 brackets t.  The bracket lo < hi, with
+    tail(lo) > alpha >= tail(hi), then narrows until lo and hi are adjacent
+    doubles.  Each step tries false position on log tail (the Illinois
     variant); a step outside the bracket, or one after three in a row that
     did not halve the number of doubles in it, is replaced by the midpoint
-    of the two bit patterns.  About 14 evaluations of ``f_sf`` at the
+    of the two keys (:func:`_key`).  About 14 evaluations of ``f_sf`` at the
     presets' degrees of freedom.  The cache holds every (d1, d2) pair that
     a preset's redrawn designs reach.
     """
-    lo, p_lo, hi = 0.0, 1.0, 1.0
-    while (p_hi := f_sf(hi, d1, d2)) > alpha:
+    tail = (lambda t: f_sf(t, *df)) if df else normal_sf
+    lo, p_lo, hi = 0.0 if df else -math.inf, 1.0, 1.0
+    while (p_hi := tail(hi)) > alpha:
         lo, p_lo, hi = hi, p_hi, 2.0 * hi
     target = math.log(alpha)
     g_lo, g_hi = math.log(p_lo) - target, math.log(max(p_hi, _TINY)) - target
-    width = _bits(hi) - _bits(lo)
+    width = _key(hi) - _key(lo)
     slow, lo_moved = 0, None
     while width > 1:
         t = lo + (hi - lo) * (g_lo / (g_lo - g_hi)) if g_lo > g_hi else hi
         if slow == 3 or not lo < t < hi:
-            t = _double(_bits(lo) + width // 2)
-        p = f_sf(t, d1, d2)
+            t = _double(_key(lo) + width // 2)
+        p = tail(t)
         g = math.log(max(p, _TINY)) - target
         if p > alpha:
             if lo_moved:
@@ -566,7 +574,7 @@ def _f_critical(alpha: float, d1: float, d2: float) -> float:
             if lo_moved is False:
                 g_lo *= 0.5
             hi, g_hi, lo_moved = t, g, False
-        narrowed = _bits(hi) - _bits(lo)
+        narrowed = _key(hi) - _key(lo)
         slow = 0 if 2 * narrowed <= width or slow == 3 else slow + 1
         width = narrowed
     return hi
@@ -579,16 +587,16 @@ def _check_alpha(alpha: float) -> None:
 
 def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float) -> int:
     """Number of rows of the kernel's output, for rows of these group sizes,
-    that the U-test ("U") or F-test ("F") rejects at level ``alpha``; a
-    degenerate row never rejects.  F compares each row with the critical
-    value of its degrees of freedom, looked up once per distinct n - k."""
-    if method == "U":
-        flags, stats = st.degenerate.tolist(), st.j.tolist()
-        return sum(not d and normal_sf(j) <= alpha for d, j in zip(flags, stats))
-    k = sizes.shape[-1]
-    d2, row_d2 = np.unique(sizes.sum(axis=-1) - k, return_inverse=True)
-    crit = np.array([_f_critical(alpha, k - 1.0, float(v)) for v in d2.tolist()])
-    return int(np.count_nonzero(~st.degenerate & (st.f >= crit[row_d2])))
+    that the U-test ("U") or F-test ("F") rejects at level ``alpha``: the
+    non-degenerate rows whose statistic reaches the method's critical value
+    (:func:`_critical`), one for U and one per distinct n - k for F.  PERM
+    decides by the same kind of threshold, ``stop`` in ``simlab.run_scenario``."""
+    stat, crit = st.j, _critical(alpha)
+    if method == "F":
+        k = sizes.shape[-1]
+        d2, row_d2 = np.unique(sizes.sum(axis=-1) - k, return_inverse=True)
+        stat, crit = st.f, np.array([_critical(alpha, k - 1.0, v) for v in d2.tolist()])[row_d2]
+    return int(np.count_nonzero(~st.degenerate & (stat >= crit)))
 
 
 def _nondegenerate_statistics(dataset: Dataset) -> _Stats:

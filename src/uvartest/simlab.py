@@ -333,15 +333,16 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     Replicates are drawn one by one, each from its own derived stream, and
     stacked into blocks of at most 2**16 values, whether the design is
     fixed or redrawn per replicate.  Each block takes one statistic-kernel
-    call.  U rejects a row as ``u_test`` does, by its normal tail; F
-    compares the row's statistic with the cached critical value of its
-    degrees of freedom, the smallest F whose ``f_sf`` is at most alpha, so
-    it rejects exactly where ``f_test`` would.  PERM takes each row's
-    statistic and degeneracy flag from the same call, then draws that row's
-    permutations from its stream and counts exceedances as
-    ``permutation_pvalue`` does, but stops drawing once the count is past the
-    largest one that rejects: the count only grows, so the decision is that
-    of all ``n_perm`` permutations.  A degenerate row is counted once and
+    call.  U and F compare each row's statistic with a cached critical
+    value, the smallest double whose tail is at most alpha
+    (``core._critical``: the normal tail for U, the F tail of the row's
+    degrees of freedom for F), so they reject exactly where ``u_test`` and
+    ``f_test`` would.  PERM takes each row's statistic and degeneracy flag
+    from the same call, then draws that row's permutations from its stream
+    and counts exceedances as ``permutation_pvalue`` does; its threshold is
+    ``stop``, the largest count that rejects, and it stops drawing once the
+    count is past ``stop``: the count only grows, so the decision is that of
+    all ``n_perm`` permutations.  A degenerate row is counted once and
     reported under every method.
 
     ``workers`` must be at least 1.  It changes neither the result nor how
@@ -349,7 +350,9 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    stop = -1  # PERM rejects iff (1 + e) / (n_perm + 1) <= alpha for e exceedances: e <= stop
+    # PERM's threshold, computed once as U's and F's are: it rejects iff
+    # (1 + e) / (n_perm + 1) <= alpha for e exceedances, that is e <= stop.
+    stop = -1
     while "PERM" in spec.methods and (1.0 + (stop + 1)) / (spec.n_perm + 1.0) <= spec.alpha:
         stop += 1
     cells: list[RejectionCell] = []

@@ -583,6 +583,15 @@ class TestCmdSimulate:
         assert code == EXIT_INPUT_ERROR
         assert "rate=" not in err
 
+    def test_zero_workers_leave_out_untouched(self, tiny_config, tmp_path, capsys):
+        out_file = tmp_path / "keep.csv"
+        out_file.write_text("kept\n")
+        code, _, err = _run(capsys, "simulate", tiny_config, "--replicates", "5",
+                            "--out", str(out_file), "--workers", "0")
+        assert code == EXIT_INPUT_ERROR
+        assert "--workers" in err
+        assert out_file.read_text() == "kept\n"
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

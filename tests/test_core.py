@@ -2,17 +2,21 @@
 tail probabilities and moment formulas."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from uvartest import core
 from uvartest.core import (
     Dataset,
     DegenerateWithinVariance,
     Design,
-    _f_critical,
+    _critical,
+    _double,
+    _key,
     _statistics,
     b_n_centered,
     between_pair_u,
@@ -29,6 +33,7 @@ from uvartest.core import (
     u_test,
     within_u,
 )
+from uvartest.simlab import preset
 
 from oracles import (
     cross_kernel_mean,
@@ -610,12 +615,86 @@ class TestFTailAgainstScipy:
         assert smallest < 1e-299
 
     def test_critical_value_brackets_the_level(self):
+        # the F tails of the grid, and the normal tail (no degrees of freedom)
+        tails = [((float(d1), float(d2)), lambda x, d1=d1, d2=d2: f_sf(x, d1, d2))
+                 for d1 in _D1_GRID for d2 in _D2_GRID] + [((), normal_sf)]
         for alpha in (0.01, 0.05, 0.1):
-            for d1 in _D1_GRID:
-                for d2 in _D2_GRID:
-                    crit = _f_critical(alpha, float(d1), float(d2))
-                    below = math.nextafter(crit, 0.0)
-                    assert f_sf(crit, d1, d2) <= alpha < f_sf(below, d1, d2), (alpha, d1, d2)
+            for df, tail in tails:
+                crit = _critical(alpha, *df)
+                below = math.nextafter(crit, 0.0)
+                assert tail(crit) <= alpha < tail(below), (alpha, df)
+
+    def test_search_cost_on_a_redrawn_preset(self, monkeypatch):
+        """The critical values of every (d1, d2) pair that table2-uniform-t
+        reaches, which a redrawn run computes at set-up, take no more than
+        the 14,962 f_sf calls of the search as first written."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return f_sf(*args)
+
+        pairs = {
+            (gen.k - 1.0, float(n - gen.k))
+            for gen in preset("table2-uniform-t").design_gens
+            for n in range(gen.k * gen.lo, gen.k * gen.hi + 1)
+        }
+        monkeypatch.setattr(core, "f_sf", counted)
+        _critical.cache_clear()
+        for d1, d2 in pairs:
+            _critical(0.05, d1, d2)
+        _critical.cache_clear()
+        assert len(pairs) == 1_055
+        assert 0 < len(calls) <= 14_962
+
+
+# Levels at which U's critical value z is checked: z < 0 above 0.5.
+_ALPHAS = (0.05, 0.01, 0.1, 1e-6, 0.5, 0.9)
+_NEAR = 20_000  # doubles checked on each side of z
+
+
+def _keys_near(x: float) -> range:
+    return range(_key(x) - _NEAR, _key(x) + _NEAR + 1)
+
+
+class TestThresholdRule:
+    """U decides ``j >= _critical(alpha)`` where ``u_test`` reports
+    ``normal_sf(j) <= alpha``; the two agree because ``normal_sf`` (through
+    ``math.erfc``) does not increase from one double to the next."""
+
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    def test_normal_tail_does_not_increase_near_z(self, alpha):
+        tails = [normal_sf(_double(key)) for key in _keys_near(_critical(alpha))]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    def test_comparison_decides_as_the_tail(self, alpha):
+        z = _critical(alpha)
+        rng = np.random.default_rng(16)
+        scale = np.exp2(-rng.integers(0, 53, 200_000).astype(float))  # 1 down to 2**-52
+        xs = [_double(key) for key in _keys_near(z)]
+        xs += (z + scale * rng.standard_normal(scale.size)).tolist()
+        assert [x >= z for x in xs] == [normal_sf(x) <= alpha for x in xs]
+
+    def test_key_of_neighbours(self):
+        tiny, smallest_normal, biggest = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+        doubles = [-math.inf, -biggest, -1.0, -smallest_normal, -2 * tiny, -tiny, -0.0]
+        doubles += [0.0, tiny, 2 * tiny, smallest_normal, 1.0, biggest, math.inf]
+        keys = [_key(x) for x in doubles]
+        assert keys == sorted(set(keys))
+        assert _key(-0.0) + 1 == _key(0.0)
+        for x in doubles:
+            if x != math.inf and _key(x) != _key(-0.0):
+                assert _key(math.nextafter(x, math.inf)) == _key(x) + 1, x
+
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @example(-0.0, 0.0)
+    @example(-5e-324, math.inf)
+    def test_key_is_monotone_and_round_trips(self, x, y):
+        for v in (x, y):
+            assert struct.pack("<d", _double(_key(v))) == struct.pack("<d", v)
+        if x < y:
+            assert _key(x) < _key(y)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,15 @@ class TestBatchedEngine:
                 replicates=100,
                 sigma_b2_grid=(0.0, 1.0),
             ),
+            # alpha above 0.5: U's critical value is negative
+            dict(
+                design_gens=(ShiftedGeometric(6, 0.3, 2), UniformSizes(5, 2, 4)),
+                redraw_design_per_replicate=True,
+                alpha=0.9,
+                methods=("U", "F", "PERM"),
+                n_perm=19,
+                replicates=100,
+            ),
         ],
         ids=[
             "fixed-several-blocks",
@@ -269,6 +278,7 @@ class TestBatchedEngine:
             "perm-several-blocks",
             "perm-null-stops-early",
             "perm-alpha-0.01",
+            "alpha-above-half",
         ],
     )
     def test_matches_per_replicate_reference(self, overrides):
