@@ -143,15 +143,13 @@ def _data_records(path: str, fh):
     limit or a line that fails a check ends the blocks: the rest of the
     file goes through ``_csv_records``, which reports the first bad line."""
     limit = csv.field_size_limit()
-    lineno, carry = 2, ""
-    while buf := carry + fh.read(_BLOCK_CHARS):
-        more = len(buf) > len(carry)
-        # A "\r" that ends the buffer may be the first half of a "\r\n".
-        cut = max(buf.rfind("\n"), buf.rfind("\r", 0, len(buf) - 1)) + 1 if more else len(buf)
-        block, carry = buf[:cut], buf[cut:]
-        if (len(block) + len(carry) > limit or '"' in block or "\0" in block
+    lineno = 2
+    # readline() ends each block at a line end: with newline="", it returns
+    # the "\n" of a "\r\n" that the read cut in two.
+    while block := fh.read(_BLOCK_CHARS) + fh.readline():
+        if (len(block) > limit or '"' in block or "\0" in block
                 or (split := _split_block(block)) is None):
-            lines = itertools.chain(io.StringIO(block + carry + fh.readline(), newline=""), fh)
+            lines = itertools.chain(io.StringIO(block, newline=""), fh)
             yield _csv_records(path, lines, lineno)
             return
         labels, values, records = split

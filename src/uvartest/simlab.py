@@ -9,9 +9,10 @@ each from its own stream seeded by (seed, cell index, grid index, replicate
 index), and evaluated in blocks of at most 2**16 values: one
 statistic-kernel call per block, for fixed and redrawn designs alike.
 PERM reads each replicate's statistic from that call and draws the
-replicate's permutations from its stream, but only until its decision is
-fixed; its rates are still those of the full ``n_perm`` test.  Every run of
-a scenario gives bit-identical results.
+replicate's permuted values from its stream, a stack of rows per generator
+call, but only until its decision is fixed; its rates are still those of the
+full ``n_perm`` test.  ``permutation_pvalue`` draws through the same helper.
+Every run of a scenario gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -216,43 +217,37 @@ def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]
         yield tuple(free.pop(r - j) for combo in ranks for j, r in enumerate(combo))
 
 
-def _exceedances(
-    pooled: np.ndarray, sizes: np.ndarray, j_obs: float, assignments, stop: int | None = None
-) -> int:
-    """Number of ``assignments`` (index vectors into the pooled row
-    ``pooled``, whose group sizes are the (1, k) array ``sizes``) whose
-    statistic ties or exceeds ``j_obs``.  A tie is a statistic within a
-    relative 1e-9 of ``j_obs``; a degenerate permuted row never counts.
-    Assignments go to the kernel in stacks of at most ``_CHUNK_VALUES``
-    values.  With ``stop``, the first stack holds 3 * (stop + 1) rows, and
-    the count is returned as soon as it passes ``stop``: the rest of the
-    assignments cannot bring it back to ``stop`` or below.  A row passes
-    ``stop`` in that first stack when its p-value is above about a third,
-    as most rows that do not reject do; the rest go on in full stacks, since
-    every further check costs a kernel call and makes a row's time depend on
-    more of its data."""
+def _exceedances(stacks, sizes: np.ndarray, j_obs: float, stop: int | None = None) -> int:
+    """Number of rows of the (rows, n) value ``stacks``, whose group sizes
+    are the (1, k) array ``sizes``, whose statistic ties or exceeds
+    ``j_obs``.  A tie is a statistic within a relative 1e-9 of ``j_obs``; a
+    degenerate permuted row never counts.  Each stack takes one kernel
+    call.  With ``stop``, the count is returned as soon as it passes
+    ``stop``: the rest of the stacks cannot bring it back to ``stop`` or
+    below, and are never drawn."""
     threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
-    cap = max(1, _CHUNK_VALUES // pooled.size)
-    rows = cap if stop is None else min(3 * (stop + 1), cap)
     exceed = 0
-    while chunk := list(itertools.islice(assignments, rows)):
-        st = _statistics(pooled[np.concatenate(chunk)], sizes.repeat(len(chunk), axis=0))
+    for stack in stacks:
+        st = _statistics(stack.ravel(), sizes.repeat(len(stack), axis=0))
         exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
         if stop is not None and exceed > stop:
             break
-        rows = cap
     return exceed
 
 
-def _permutation_stacks(rng: np.random.Generator, n: int, count: int) -> Iterable[np.ndarray]:
-    """``count`` permutations of range(n), drawn in the stacks that
-    ``_exceedances`` evaluates, one ``rng.permuted`` call each: the same
-    rows, and the same generator state after them, as ``count`` calls of
-    ``rng.permutation(n)``."""
-    rows = max(1, _CHUNK_VALUES // n)
-    for start in range(0, count, rows):
-        stack = np.broadcast_to(np.arange(n), (min(rows, count - start), n))
-        yield from rng.permuted(stack, axis=1)
+def _permuted_stacks(
+    rng: np.random.Generator, y: np.ndarray, count: int, first: int | None = None
+) -> Iterable[np.ndarray]:
+    """``count`` permutations of the values ``y`` as (rows, n) stacks of at
+    most ``_CHUNK_VALUES`` values, the first of at most ``first`` rows, one
+    ``rng.permuted`` call each.  The shuffle never reads the values, so row
+    i is ``y[p]`` for the i-th of ``count`` calls ``p = rng.permutation(n)``,
+    and the generator ends in the same state as after them."""
+    cap = max(1, _CHUNK_VALUES // y.size)
+    drawn, rows = 0, cap if first is None else min(first, cap)
+    while drawn < count:
+        yield rng.permuted(np.broadcast_to(y, (min(rows, count - drawn), y.size)), axis=1)
+        drawn, rows = drawn + rows, cap
 
 
 def permutation_pvalue(
@@ -274,10 +269,13 @@ def permutation_pvalue(
     exceedance: equivalent assignments (within-group reorders, relabelled
     equal-size groups) give the same statistic in exact arithmetic but not
     always in floating point.  Permutations with degenerate within-group
-    variance never count as exceedances.
+    variance never count as exceedances.  Random permutations are drawn as
+    stacks of permuted values, one generator call per stack of at most
+    2**16 values, with the rows and the final generator state of one
+    ``rng.permutation`` call per permutation.
     """
     j_obs = u_test(dataset, alpha).statistic  # raises DegenerateWithinVariance if undefined
-    design, n = dataset.design, dataset.design.n
+    design, n, values = dataset.design, dataset.design.n, dataset.values
 
     if exhaustive:
         total = math.factorial(n) // math.prod(map(math.factorial, design.group_sizes))
@@ -287,16 +285,19 @@ def permutation_pvalue(
                 f"({_EXHAUSTIVE_LIMIT}); use random permutations instead"
             )
         assignments = _iter_assignments(n, design.group_sizes)
+        rows = max(1, _CHUNK_VALUES // n)
+        chunks = iter(lambda: list(itertools.islice(assignments, rows)), [])
+        stacks = (values[np.array(chunk)] for chunk in chunks)
         used = total
     else:
         if n_perm is None or n_perm < 1:
             raise ValueError("n_perm must be at least 1")
         if seed is None:
             raise ValueError("a seed is required for random permutations")
-        assignments = _permutation_stacks(_resolve_rng(seed), n, n_perm)
+        stacks = _permuted_stacks(_resolve_rng(seed), values, n_perm)
         used = n_perm
 
-    exceed = _exceedances(dataset.values, np.array([design.group_sizes]), j_obs, assignments)
+    exceed = _exceedances(stacks, np.array([design.group_sizes]), j_obs)
     p = (1.0 + exceed) / (used + 1.0)
     return TestResult(
         method="PERM",
@@ -338,12 +339,12 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     (``core._critical``: the normal tail for U, the F tail of the row's
     degrees of freedom for F), so they reject exactly where ``u_test`` and
     ``f_test`` would.  PERM takes each row's statistic and degeneracy flag
-    from the same call, then draws that row's permutations from its stream
-    and counts exceedances as ``permutation_pvalue`` does; its threshold is
-    ``stop``, the largest count that rejects, and it stops drawing once the
-    count is past ``stop``: the count only grows, so the decision is that of
-    all ``n_perm`` permutations.  A degenerate row is counted once and
-    reported under every method.
+    from the same call, then draws that row's permuted values from its
+    stream in stacks and counts exceedances, both as ``permutation_pvalue``
+    does; its threshold is ``stop``, the largest count that rejects, and it
+    stops drawing once the count is past ``stop``: the count only grows, so
+    the decision is that of all ``n_perm`` permutations.  A degenerate row
+    is counted once and reported under every method.
 
     ``workers`` must be at least 1.  It changes neither the result nor how
     the run executes: everything runs in this process.
@@ -379,8 +380,13 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
                     for (s, y, rng), j_obs, undefined in rows:
                         if undefined or stop < 0:
                             continue
-                        draws = (rng.permutation(y.size) for _ in range(spec.n_perm))
-                        rejections[method] += _exceedances(y, s[None], j_obs, draws, stop) <= stop
+                        # A row passes stop in a first stack of 3 * (stop + 1) when its
+                        # p-value is above about a third, as most rows that do not
+                        # reject do; the rest go on in full stacks, since every further
+                        # check costs a kernel call and makes a row's time depend on
+                        # more of its data.
+                        stacks = _permuted_stacks(rng, y, spec.n_perm, 3 * (stop + 1))
+                        rejections[method] += _exceedances(stacks, s[None], j_obs, stop) <= stop
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uvartest import simlab
 from uvartest.core import Dataset, DegenerateWithinVariance, _statistics, u_test
 from uvartest.randgen import (
     Balanced,
@@ -29,6 +30,7 @@ from uvartest.simlab import (
     ScenarioSpec,
     _exceedances,
     _iter_assignments,
+    _permuted_stacks,
     mc_se,
     permutation_pvalue,
     preset,
@@ -510,10 +512,36 @@ class TestPermutationStacks:
         assert res.extras == {"n_perm": n_perm, "exceedances": exceed}
         assert library.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("first", [None, 1, "count", "more"])
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        count=st.integers(1, 60),
+        chunk=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_stacks_of_one_call_each(self, first, n, count, chunk, seed):
+        """Row for row ``y[rng.permutation(n)]``, in stacks of at most
+        ``_CHUNK_VALUES`` values (one row when n is larger), the first of at
+        most ``first`` rows, and the same generator state after them."""
+        first = {"count": count, "more": count + 3}.get(first, first)
+        y = np.random.default_rng(seed + 1).standard_normal(n)
+        reference, library = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simlab, "_CHUNK_VALUES", chunk)
+            stacks = list(_permuted_stacks(library, y, count, first))
+        heights = [len(stack) for stack in stacks]
+        assert sum(heights) == count
+        assert max(heights) <= max(1, chunk // n)
+        assert first is None or heights[0] <= first
+        expected = [y[reference.permutation(n)] for _ in range(count)]
+        assert np.array_equal(np.concatenate(stacks), np.array(expected))
+        assert library.bit_generator.state == reference.bit_generator.state
+
 
 class TestExceedanceStop:
     """With ``stop``, the count equals the full count when that is at most
-    ``stop`` and passes ``stop`` otherwise, from no more assignments."""
+    ``stop`` and passes ``stop`` otherwise, from no more stacks."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -529,16 +557,18 @@ class TestExceedanceStop:
         observed = _statistics(pooled, design)
         assume(not observed.degenerate[0])
         j_obs = float(observed.j[0])
-        perms = [rng.permutation(n) for _ in range(count)]
-        full = _exceedances(pooled, design, j_obs, iter(perms))
-        draws = iter(perms)
-        stopped = _exceedances(pooled, design, j_obs, draws, stop)
-        used = count - sum(1 for _ in draws)
+        perms = pooled[np.array([rng.permutation(n) for _ in range(count)])]
+        stacks = [perms[start:start + 7] for start in range(0, count, 7)]
+        full = _exceedances(iter(stacks), design, j_obs)
+        draws = iter(stacks)
+        stopped = _exceedances(draws, design, j_obs, stop)
+        used = len(stacks) - sum(1 for _ in draws)
         if full <= stop:
-            assert (stopped, used) == (full, count)
+            assert (stopped, used) == (full, len(stacks))
         else:
             assert stop < stopped <= full
-        assert _exceedances(pooled, design, j_obs, iter(perms[:used])) == stopped
+            assert _exceedances(iter(stacks[:used - 1]), design, j_obs) <= stop
+        assert _exceedances(iter(stacks[:used]), design, j_obs) == stopped
 
 
 class TestPresets:
