@@ -191,6 +191,8 @@ class Balanced:
     """Every one of the k groups has exactly m observations."""
 
     kind: ClassVar[str] = "balanced"
+    # whether ``sizes`` draws from its generator
+    draws: ClassVar[bool] = False
     k: int
     m: int
 
@@ -218,6 +220,7 @@ class ShiftedGeometric:
     """
 
     kind: ClassVar[str] = "geometric"
+    draws: ClassVar[bool] = True
     k: int
     p: float
     shift: int = 2
@@ -246,6 +249,7 @@ class UniformSizes:
     """Group sizes drawn uniformly from the integers lo..hi inclusive."""
 
     kind: ClassVar[str] = "uniform"
+    draws: ClassVar[bool] = True
     k: int
     lo: int
     hi: int

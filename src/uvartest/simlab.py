@@ -8,8 +8,9 @@ rate and its Monte Carlo standard error.  Replicates are drawn one by one,
 each from its own stream seeded by (seed, cell index, grid index, replicate
 index), and evaluated in blocks of at most 2**16 values: one
 statistic-kernel call per block, for fixed and redrawn designs alike.
-PERM reads each replicate's statistic from that call and draws the
-replicate's permuted values from its stream, a stack of rows per generator
+Under PERM each replicate also draws its first stack of permuted values right
+after its errors, and the block's call evaluates that stack too.  The
+replicate draws the rest from its stream, a stack of rows per generator
 call, but only until its decision is fixed; its rates are still those of the
 full ``n_perm`` test.  ``permutation_pvalue`` draws through the same helper.
 Every run of a scenario gives bit-identical results.
@@ -29,7 +30,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Dataset, TestResult, _check_alpha, _rejections, _statistics, u_test
+from .core import Dataset, TestResult, _Stats, _check_alpha, _rejections, _statistics, u_test
 from .randgen import (
     _DESIGN_KINDS,
     Balanced,
@@ -217,37 +218,40 @@ def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]
         yield tuple(free.pop(r - j) for combo in ranks for j, r in enumerate(combo))
 
 
-def _exceedances(stacks, sizes: np.ndarray, j_obs: float, stop: int | None = None) -> int:
-    """Number of rows of the (rows, n) value ``stacks``, whose group sizes
-    are the (1, k) array ``sizes``, whose statistic ties or exceeds
-    ``j_obs``.  A tie is a statistic within a relative 1e-9 of ``j_obs``; a
-    degenerate permuted row never counts.  Each stack takes one kernel
-    call.  With ``stop``, the count is returned as soon as it passes
-    ``stop``: the rest of the stacks cannot bring it back to ``stop`` or
-    below, and are never drawn."""
+def _exceedances(outputs: Iterable[_Stats], j_obs: float, stop: int | None = None) -> int:
+    """Number of permuted rows, over the kernel ``outputs`` of one stack of
+    them each, whose statistic ties or exceeds ``j_obs``.  A tie is a
+    statistic within a relative 1e-9 of ``j_obs``; a degenerate permuted
+    row never counts.  With ``stop``, the count is returned as soon as it
+    passes ``stop``: the rest of the outputs cannot bring it back to
+    ``stop`` or below, and are never computed."""
     threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
     exceed = 0
-    for stack in stacks:
-        st = _statistics(stack.ravel(), sizes.repeat(len(stack), axis=0))
+    for st in outputs:
         exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
         if stop is not None and exceed > stop:
             break
     return exceed
 
 
-def _permuted_stacks(
-    rng: np.random.Generator, y: np.ndarray, count: int, first: int | None = None
-) -> Iterable[np.ndarray]:
+def _stack_statistics(stacks, sizes: np.ndarray) -> Iterable[_Stats]:
+    """Kernel output of each (rows, n) value stack of ``stacks``, whose
+    group sizes are the (1, k) array ``sizes``: one call per stack, made
+    only when the output is asked for."""
+    return (_statistics(x.ravel(), sizes.repeat(len(x), axis=0)) for x in stacks)
+
+
+def _permuted_stacks(rng: np.random.Generator, y: np.ndarray, count: int) -> Iterable[np.ndarray]:
     """``count`` permutations of the values ``y`` as (rows, n) stacks of at
-    most ``_CHUNK_VALUES`` values, the first of at most ``first`` rows, one
-    ``rng.permuted`` call each.  The shuffle never reads the values, so row
-    i is ``y[p]`` for the i-th of ``count`` calls ``p = rng.permutation(n)``,
-    and the generator ends in the same state as after them."""
-    cap = max(1, _CHUNK_VALUES // y.size)
-    drawn, rows = 0, cap if first is None else min(first, cap)
-    while drawn < count:
-        yield rng.permuted(np.broadcast_to(y, (min(rows, count - drawn), y.size)), axis=1)
-        drawn, rows = drawn + rows, cap
+    most ``_CHUNK_VALUES`` values, one ``rng.permuted`` call each.  The
+    shuffle never reads the values, so row i is ``y[p]`` for the i-th of
+    ``count`` calls ``p = rng.permutation(n)``, and the generator ends in
+    the same state as after them.  Each stack is a fresh array, shuffled in
+    place."""
+    rows = max(1, _CHUNK_VALUES // y.size)
+    for drawn in range(0, count, rows):
+        stack = y[None].repeat(min(rows, count - drawn), axis=0)
+        yield rng.permuted(stack, axis=1, out=stack)
 
 
 def permutation_pvalue(
@@ -297,7 +301,7 @@ def permutation_pvalue(
         stacks = _permuted_stacks(_resolve_rng(seed), values, n_perm)
         used = n_perm
 
-    exceed = _exceedances(stacks, np.array([design.group_sizes]), j_obs)
+    exceed = _exceedances(_stack_statistics(stacks, np.array([design.group_sizes])), j_obs)
     p = (1.0 + exceed) / (used + 1.0)
     return TestResult(
         method="PERM",
@@ -309,10 +313,15 @@ def permutation_pvalue(
     )
 
 
-def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, *path: int):
-    """Replicates (group sizes, pooled vector, stream) of one (cell, grid
-    value) in blocks of at most ``_CHUNK_VALUES`` values or one replicate.
-    Stream (*path, r) draws sizes (unless fixed), b, then e; PERM draws on."""
+def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, head, *path: int):
+    """Replicates (group sizes, rows, stream) of one (cell, grid value) in
+    blocks of at most ``_CHUNK_VALUES`` values or one replicate.  Stream
+    (*path, r) draws sizes (unless fixed), b, e, then, when ``head`` is not
+    0, the first stack of ``_permuted_stacks`` over ``head`` permutations of
+    the pooled vector: min(``head``, ``_CHUNK_VALUES`` // n) rows, or one
+    when n is larger.  A replicate's rows are its pooled vector, or with a
+    head the (1 + rows, n) array of the pooled vector and that stack below
+    it; the block cut counts them all.  PERM draws on."""
     block, used = [], 0
     for r in range(spec.replicates):
         rng = spec.seed.generator(*path, r)
@@ -320,11 +329,12 @@ def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, 
         b = sample_noise(b_spec, gen.k, rng)
         y = spec.mu + np.repeat(b, sizes)
         y += sample_noise(spec.e_spec, y.size, rng)
-        if block and used + y.size > _CHUNK_VALUES:
+        rows = np.concatenate([y[None], next(_permuted_stacks(rng, y, head))]) if head else y
+        if block and used + rows.size > _CHUNK_VALUES:
             yield block
             block, used = [], 0
-        block.append((sizes, y, rng))
-        used += y.size
+        block.append((sizes, rows, rng))
+        used += rows.size
     yield block
 
 
@@ -334,17 +344,21 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     Replicates are drawn one by one, each from its own derived stream, and
     stacked into blocks of at most 2**16 values, whether the design is
     fixed or redrawn per replicate.  Each block takes one statistic-kernel
-    call.  U and F compare each row's statistic with a cached critical
+    call.  U, F and the degenerate count read each replicate's own row of
+    it.  U and F compare that row's statistic with a cached critical
     value, the smallest double whose tail is at most alpha
     (``core._critical``: the normal tail for U, the F tail of the row's
     degrees of freedom for F), so they reject exactly where ``u_test`` and
-    ``f_test`` would.  PERM takes each row's statistic and degeneracy flag
-    from the same call, then draws that row's permuted values from its
-    stream in stacks and counts exceedances, both as ``permutation_pvalue``
-    does; its threshold is ``stop``, the largest count that rejects, and it
-    stops drawing once the count is past ``stop``: the count only grows, so
-    the decision is that of all ``n_perm`` permutations.  A degenerate row
-    is counted once and reported under every method.
+    ``f_test`` would.  PERM's threshold is ``stop``, the largest count that
+    rejects.  Each replicate draws its first permutations right after its
+    errors and they are stacked below its row in the block (``_blocks``),
+    so PERM counts their exceedances from the same call; the replicate
+    then draws the rest of its ``n_perm`` permutations from its stream in
+    stacks, as ``permutation_pvalue`` does, only while the count is at most
+    ``stop``: the count only grows, so the decision is that of all
+    ``n_perm`` permutations.  A degenerate replicate's first permutations
+    are drawn but never counted; it is counted once and reported under
+    every method.
 
     ``workers`` must be at least 1.  It changes neither the result nor how
     the run executes: everything runs in this process.
@@ -356,37 +370,48 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     stop = -1
     while "PERM" in spec.methods and (1.0 + (stop + 1)) / (spec.n_perm + 1.0) <= spec.alpha:
         stop += 1
+    # A replicate passes stop within its first 3 * (stop + 1) permutations when
+    # its p-value is above about a third, as most that do not reject do, so
+    # those are evaluated in the block's kernel call; the rest go on in full
+    # stacks, since every further check costs a kernel call and makes a
+    # replicate's time depend on more of its data.  With stop < 0 no count
+    # rejects and nothing is drawn.
+    head = min(3 * (stop + 1), spec.n_perm)
     cells: list[RejectionCell] = []
     diagnostics: dict[tuple[str, int, str, float, str], int] = {}
     for cell_index, gen in enumerate(spec.design_gens):
         redraw = spec.redraw_design_per_replicate
-        fixed_sizes = None if redraw else gen.sizes(spec.seed.generator(cell_index))
+        # the cell's own stream, built only for sizes that draw from it
+        cell_rng = spec.seed.generator(cell_index) if gen.draws and not redraw else None
+        fixed_sizes = None if redraw else gen.sizes(cell_rng)
         for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
             degenerate = 0
-            for block in _blocks(spec, gen, b_spec, fixed_sizes, cell_index, grid_index):
+            for block in _blocks(spec, gen, b_spec, fixed_sizes, head, cell_index, grid_index):
                 sizes = np.array([s for s, _, _ in block])
-                values = np.concatenate([y for _, y, _ in block])
-                if not np.all(np.isfinite(values)):
+                values = np.concatenate([rows for _, rows, _ in block], axis=None)
+                if not np.isfinite(values).all():
                     raise ValueError("observations must be finite")
-                st = _statistics(values, sizes)
-                degenerate += int(np.count_nonzero(st.degenerate))
+                if head:
+                    heights = np.array([len(rows) for _, rows, _ in block])
+                    st = _statistics(values, sizes.repeat(heights, axis=0))
+                    starts = heights.cumsum() - heights
+                    own = _Stats._make(a[starts] for a in st)
+                else:
+                    st = own = _statistics(values, sizes)
+                degenerate += int(np.count_nonzero(own.degenerate))
                 for method in spec.methods:
                     if method != "PERM":
-                        rejections[method] += _rejections(method, st, sizes, spec.alpha)
-                        continue
-                    rows = zip(block, st.j.tolist(), st.degenerate.tolist())
-                    for (s, y, rng), j_obs, undefined in rows:
-                        if undefined or stop < 0:
-                            continue
-                        # A row passes stop in a first stack of 3 * (stop + 1) when its
-                        # p-value is above about a third, as most rows that do not
-                        # reject do; the rest go on in full stacks, since every further
-                        # check costs a kernel call and makes a row's time depend on
-                        # more of its data.
-                        stacks = _permuted_stacks(rng, y, spec.n_perm, 3 * (stop + 1))
-                        rejections[method] += _exceedances(stacks, s[None], j_obs, stop) <= stop
+                        rejections[method] += _rejections(method, own, sizes, spec.alpha)
+                    elif head:  # else stop < 0: no count rejects
+                        for (s, rows, rng), i in zip(block, starts.tolist()):
+                            if st.degenerate[i]:
+                                continue
+                            heads = _Stats._make(a[i + 1:i + len(rows)] for a in st)
+                            rest = _permuted_stacks(rng, rows[0], spec.n_perm + 1 - len(rows))
+                            outputs = itertools.chain([heads], _stack_statistics(rest, s[None]))
+                            rejections[method] += _exceedances(outputs, st.j[i], stop) <= stop
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(

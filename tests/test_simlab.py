@@ -31,6 +31,7 @@ from uvartest.simlab import (
     _exceedances,
     _iter_assignments,
     _permuted_stacks,
+    _stack_statistics,
     mc_se,
     permutation_pvalue,
     preset,
@@ -41,6 +42,7 @@ from uvartest.simlab import (
 from oracles import exact_permutation_pvalue, reference_run_scenario
 
 _NORMAL = NoiseSpec(NoiseFamily.NORMAL, 1.0)
+_T41 = NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=4.1)
 
 
 def _tiny_scenario(**overrides) -> ScenarioSpec:
@@ -159,20 +161,41 @@ class TestRunScenario:
         table = run_scenario(spec)
         assert table.cells[0].replicates == 100
 
-    def test_u_and_perm_leave_scipy_special_unloaded(self):
-        # only the F-test needs scipy.special, about 26 MB of resident memory
+    def test_engine_leaves_scipy_unloaded(self):
+        # U, F and PERM need no scipy module (scipy.special alone is about 26 MB
+        # of resident memory); n_perm = 39 lets PERM draw and count permutations
         code = (
             "import sys\n"
             "from uvartest import Balanced, NoiseFamily, NoiseSpec, ScenarioSpec, SeedSpec\n"
             "from uvartest import run_scenario\n"
             "e = NoiseSpec(NoiseFamily.NORMAL, 1.0)\n"
             "run_scenario(ScenarioSpec('s', (Balanced(4, 3),), True, e, e, 0.0, (0.0,), 0.05, 5,\n"
-            "                          SeedSpec(1), ('U', 'PERM'), 9))\n"
-            "print('scipy.special' in sys.modules)\n"
+            "                          SeedSpec(1), ('U', 'F', 'PERM'), 39))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "gen, streams_per_cell", [(Balanced(4, 3), 0), (ShiftedGeometric(4, 0.3), 1)]
+    )
+    def test_fixed_design_stream_only_when_sizes_draw(self, gen, streams_per_cell):
+        """One stream per replicate, plus the cell's own stream for a fixed
+        design only when its sizes draw from it."""
+        calls = []
+        generator = SeedSpec.generator
+
+        def counted(seed, *path):
+            calls.append(path)
+            return generator(seed, *path)
+
+        spec = _tiny_scenario(design_gens=(gen, gen), replicates=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SeedSpec, "generator", counted)
+            table = run_scenario(spec)
+        assert len(calls) == 2 * (7 * len(spec.sigma_b2_grid) + streams_per_cell)
+        assert table == run_scenario(spec)
 
     def test_perm_method_smoke(self):
         spec = _tiny_scenario(
@@ -233,13 +256,46 @@ class TestBatchedEngine:
                 n_perm=19,
                 replicates=200,
             ),
-            # n = 1000: PERM over blocks of 65, 65 and 20 replicates
+            # n = 1000: blocks of 65, 65 and 20 replicates; with 9 permutations no
+            # count rejects at alpha 0.05 (stop = -1), so PERM draws nothing
             dict(
                 design_gens=(Balanced(100, 10),),
                 methods=("U", "PERM"),
                 n_perm=9,
                 replicates=150,
                 sigma_b2_grid=(0.0, 0.05),
+            ),
+            # n = 1000, stop = 1: heads of 6 permutations, so blocks of 9 replicates
+            dict(
+                design_gens=(Balanced(100, 10),),
+                methods=("U", "PERM"),
+                n_perm=39,
+                replicates=30,
+                sigma_b2_grid=(0.0, 0.05),
+            ),
+            # n = 3600: the head is capped at 2**16 // 3600 = 18 < 3 * (stop + 1) = 30
+            dict(
+                design_gens=(Balanced(4, 900),),
+                methods=("U", "F", "PERM"),
+                n_perm=199,
+                replicates=12,
+                sigma_b2_grid=(0.0, 0.01),
+            ),
+            # sizes drawn once per cell from the cell's own stream
+            dict(
+                design_gens=(ShiftedGeometric(6, 0.3, 2), ShiftedGeometric(10, 0.15, 2)),
+                methods=("U", "F", "PERM"),
+                n_perm=39,
+                replicates=40,
+            ),
+            # stop = 0 and a head of all n_perm = 1 permutations: no second stage
+            dict(
+                design_gens=(Balanced(5, 3), UniformSizes(4, 2, 6)),
+                redraw_design_per_replicate=True,
+                alpha=0.5,
+                methods=("U", "F", "PERM"),
+                n_perm=1,
+                replicates=60,
             ),
             # a null cell: most rows pass 9 exceedances long before 199 permutations
             dict(
@@ -278,6 +334,10 @@ class TestBatchedEngine:
             "redrawn-u-f-perm",
             "near-degenerate-perm",
             "perm-several-blocks",
+            "perm-head-blocks",
+            "perm-head-capped",
+            "perm-fixed-geometric",
+            "perm-head-is-all",
             "perm-null-stops-early",
             "perm-alpha-0.01",
             "alpha-above-half",
@@ -298,8 +358,7 @@ class TestGoldenTables:
     @pytest.mark.parametrize(
         "spec",
         [
-            replace(preset("table2-balanced-normal"), replicates=40),
-            replace(preset("table2-uniform-t"), replicates=40),
+            *(replace(preset(name), replicates=40) for name in PRESET_NAMES),
             # the scenario of the benchmark's sim-perm workload
             ScenarioSpec(
                 name="perm-small",
@@ -313,6 +372,21 @@ class TestGoldenTables:
                 replicates=40,
                 seed=SeedSpec(0),
                 methods=("U", "PERM"),
+                n_perm=199,
+            ),
+            # redrawn designs under scaled-t(4.1) noise, with U, F and PERM
+            ScenarioSpec(
+                name="perm-redrawn",
+                design_gens=(UniformSizes(6, 2, 6), ShiftedGeometric(10, 0.15, 2)),
+                redraw_design_per_replicate=True,
+                b_spec=_T41,
+                e_spec=_T41,
+                mu=2.0,
+                sigma_b2_grid=(0.0, 0.5),
+                alpha=0.05,
+                replicates=40,
+                seed=SeedSpec(0),
+                methods=("U", "F", "PERM"),
                 n_perm=199,
             ),
         ],
@@ -522,14 +596,17 @@ class TestPermutationStacks:
     )
     def test_value_stacks_of_one_call_each(self, first, n, count, chunk, seed):
         """Row for row ``y[rng.permutation(n)]``, in stacks of at most
-        ``_CHUNK_VALUES`` values (one row when n is larger), the first of at
-        most ``first`` rows, and the same generator state after them."""
+        ``_CHUNK_VALUES`` values (one row when n is larger), and the same
+        generator state after them.  With ``first``, a head of at most
+        ``first`` rows is drawn on its own and the rest after it, as the
+        engine draws a replicate's permutations."""
         first = {"count": count, "more": count + 3}.get(first, first)
         y = np.random.default_rng(seed + 1).standard_normal(n)
         reference, library = np.random.default_rng(seed), np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simlab, "_CHUNK_VALUES", chunk)
-            stacks = list(_permuted_stacks(library, y, count, first))
+            stacks = [] if first is None else [next(_permuted_stacks(library, y, min(first, count)))]
+            stacks += _permuted_stacks(library, y, count - sum(map(len, stacks)))
         heights = [len(stack) for stack in stacks]
         assert sum(heights) == count
         assert max(heights) <= max(1, chunk // n)
@@ -541,7 +618,7 @@ class TestPermutationStacks:
 
 class TestExceedanceStop:
     """With ``stop``, the count equals the full count when that is at most
-    ``stop`` and passes ``stop`` otherwise, from no more stacks."""
+    ``stop`` and passes ``stop`` otherwise, from no more stacks' outputs."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -559,16 +636,17 @@ class TestExceedanceStop:
         j_obs = float(observed.j[0])
         perms = pooled[np.array([rng.permutation(n) for _ in range(count)])]
         stacks = [perms[start:start + 7] for start in range(0, count, 7)]
-        full = _exceedances(iter(stacks), design, j_obs)
-        draws = iter(stacks)
-        stopped = _exceedances(draws, design, j_obs, stop)
-        used = len(stacks) - sum(1 for _ in draws)
+        outputs = list(_stack_statistics(stacks, design))
+        full = _exceedances(iter(outputs), j_obs)
+        draws = iter(outputs)
+        stopped = _exceedances(draws, j_obs, stop)
+        used = len(outputs) - sum(1 for _ in draws)
         if full <= stop:
-            assert (stopped, used) == (full, len(stacks))
+            assert (stopped, used) == (full, len(outputs))
         else:
             assert stop < stopped <= full
-            assert _exceedances(iter(stacks[:used - 1]), design, j_obs) <= stop
-        assert _exceedances(iter(stacks[:used]), design, j_obs) == stopped
+            assert _exceedances(iter(outputs[:used - 1]), j_obs) <= stop
+        assert _exceedances(iter(outputs[:used]), j_obs) == stopped
 
 
 class TestPresets:
