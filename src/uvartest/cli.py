@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, DegenerateWithinVariance, Design, TestResult, f_test, kappa, u_test
+from .core import Dataset, DegenerateWithinVariance, Design, TestResult, _test_results, kappa
 from .simlab import (
     PRESET_NAMES,
     permutation_pvalue,
@@ -239,8 +239,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
             seed = SeedSpec(_seed(args.seed) or 0)
             results = [permutation_pvalue(dataset, args.n_perm, seed, alpha=args.alpha)]
         else:
-            tests = {"u": (u_test,), "f": (f_test,), "both": (u_test, f_test)}[args.method]
-            results = [test(dataset, args.alpha) for test in tests]
+            methods = {"u": "U", "f": "F", "both": "UF"}[args.method]
+            results = _test_results(dataset, args.alpha, methods)
     except DegenerateWithinVariance as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -21,7 +21,10 @@ is known: 0.060 at k=100, m=10; 0.067 at k=30, m=10; 0.087 at k=10, m=5;
 ``uvartest.simlab.permutation_pvalue``).
 
 All functions are pure; all value types are immutable after construction and
-safe to share across threads.
+safe to share across threads.  The statistic kernel keeps the constants of
+the designs it has seen in a bounded cache (``functools.lru_cache``, which is
+thread-safe) of read-only arrays and floats, so callers on several threads,
+such as ``uvartest.cli.main``, share it safely.
 """
 
 from __future__ import annotations
@@ -218,8 +221,59 @@ class _Stats(NamedTuple):
     f: np.ndarray  # ANOVA F statistic
     sq_between: np.ndarray
     sq_within: np.ndarray
-    m_n: np.ndarray
     degenerate: np.ndarray  # j and f are undefined where set
+
+
+class _Layout(NamedTuple):
+    """How :func:`_statistics` reads its rows, and the constants of their
+    designs.  The values are read in ``shape``, with rows and (row, group)
+    segments along its last axis: the segments start at ``starts`` and
+    hold ``counts`` values, k segments to a row.  The group constants have
+    one row of k per row and the row constants one entry per row, or, for
+    all rows of one design, one row of k and one float."""
+
+    shape: tuple[int, ...]
+    starts: np.ndarray
+    counts: np.ndarray
+    size: np.ndarray  # n_i
+    size1: np.ndarray  # n_i - 1
+    others: np.ndarray  # observations outside each group, n - n_i
+    n: np.ndarray | float
+    n1: np.ndarray | float  # n - 1
+    pairs: np.ndarray | float  # ordered pairs, 2 C(n, 2)
+    root_m: np.ndarray | float  # sqrt(M_n)
+    m: np.ndarray | float  # M_n
+
+
+def _layout(sizes: np.ndarray) -> _Layout:
+    """Layout of R rows of the group sizes ``sizes`` (integers, shape
+    (R, k)) laid back to back in one flat vector."""
+    k = sizes.shape[-1]
+    counts = sizes.ravel()
+    starts = counts.cumsum() - counts  # first position of each (row, group) segment
+    size = sizes.astype(float)
+    n = np.add.reduce(size, axis=-1)
+    size1 = size - 1.0
+    others = n[:, None] - size
+    n1 = n - 1.0
+    m = 0.5 * n1 * (n * (k - 1) + np.add.reduce(others / size1, axis=-1))  # m_n multiplied out
+    return _Layout((-1,), starts, counts, size, size1, others, n, n1, n * n1, np.sqrt(m), m)
+
+
+# Bounded: under PERM, each replicate of a redrawn design passes its own
+# design through the cache.
+@functools.lru_cache(maxsize=128)
+def _design_layout(sizes: tuple[int, ...]) -> _Layout:
+    """:func:`_layout` of the rows of one design, read as an (R, n) array:
+    computed once per design, with read-only arrays of at most k entries
+    and floats for the row constants."""
+    lay = _layout(np.array([sizes]))
+    lay = lay._replace(shape=(-1, int(lay.n[0])),
+                       **{f: float(getattr(lay, f)[0]) for f in ("n", "n1", "pairs", "root_m", "m")})
+    for a in lay[1:]:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return lay
 
 
 # A row is degenerate when sqrt(W_n) <= _DEGENERACY_ULPS * eps * max(max|y|, tiny),
@@ -239,11 +293,14 @@ def _statistics(values: np.ndarray, sizes: np.ndarray) -> _Stats:
     """Decomposition, U and F statistics of R rows of k groups each.
 
     ``values`` holds the rows back to back in one flat vector and ``sizes``
-    their group sizes (integers, shape (R, k)), from which each row's
-    offsets, n, M_n and pair count follow.  Each (row, group) segment and
-    each row is summed on its own (``np.add.reduceat``, or along the last
-    axis of an (R, k) array) without BLAS, so a row gives bit-identical
-    results in any block.
+    their group sizes (integers), shape (R, k), or (1, k) when every row
+    has that one design.  The constants of one design (n, M_n, pair count)
+    are computed once and kept (:func:`_design_layout`), and its rows are
+    read as an (R, n) array; other blocks compute theirs per call and are
+    read as the flat vector.  Each (row, group) segment and each row is
+    summed on its own (``np.add.reduceat`` or ``np.add.reduce`` along the
+    last axis) without BLAS, so a row gives bit-identical results in any
+    block.
 
     Values anywhere in the float range give defined statistics: when some
     row's max|y| lies outside [2**-256, 2**256], where squares could
@@ -251,53 +308,51 @@ def _statistics(values: np.ndarray, sizes: np.ndarray) -> _Stats:
     brings max(max|y|, tiny) into [0.5, 1) before anything is squared, and
     the sums of squares are scaled back by 2**(2e).  Scaling by a power of
     two is exact, so J, F and the degeneracy flag are those of the
-    unscaled rows.
+    unscaled rows.  A value that is not finite raises ValueError.
     """
-    counts = sizes.ravel()
-    starts = counts.cumsum() - counts  # first position of each (row, group) segment
-    size = sizes.astype(float)
-    n = size.sum(axis=-1)
     k = sizes.shape[-1]
+    lay = _design_layout(tuple(sizes[0].tolist())) if len(sizes) == 1 else _layout(sizes)
+    x = values.reshape(lay.shape)
+    lines = x.shape[:-1]  # (R,) for the rows of one design, () for one flat vector
     # peak stands for max(max|y|, tiny), scaled with the rows; rows left
     # unscaled have max|y| >= 2**-256 > tiny.
-    peak = np.maximum.reduceat(np.abs(values), starts[::k])
+    peak = np.maximum.reduceat(np.abs(x), lay.starts[::k], axis=-1).ravel()
     exponent = None
-    if peak.min() < 1.0 / _SAFE_PEAK or peak.max() > _SAFE_PEAK:
+    if not (np.minimum.reduce(peak) >= 1.0 / _SAFE_PEAK and np.maximum.reduce(peak) <= _SAFE_PEAK):
+        if not np.isfinite(peak).all():
+            raise ValueError("observations must be finite")
         peak, exponent = np.frexp(np.maximum(peak, _TINY))
-        values = np.ldexp(values, np.repeat(-exponent, sizes.sum(axis=-1)))
-    sums = np.add.reduceat(values, starts).reshape(sizes.shape)
+        row_counts = np.add.reduce(lay.counts.reshape(-1, k), axis=-1)
+        x = np.ldexp(x, np.repeat(-exponent.reshape(*lines, -1), row_counts, axis=-1))
+    size, n = lay.size, lay.n
+    sums = np.add.reduceat(x, lay.starts, axis=-1).reshape(-1, k)
     means = sums / size
-    centered = values - np.repeat(means.ravel(), counts)
+    centered = x - np.repeat(means.reshape(*lines, -1), lay.counts, axis=-1)
     # Corrected two-pass sums of squares (Chan, Golub & LeVeque, 1983): the
     # drift term removes the rounding error of the group means, so groups
     # that are constant up to a few ulps get their exact, tiny variance.
-    drift = np.add.reduceat(centered, starts).reshape(sizes.shape)
-    squares = np.add.reduceat(centered * centered, starts).reshape(sizes.shape)
+    drift = np.add.reduceat(centered, lay.starts, axis=-1).reshape(-1, k)
+    squares = np.add.reduceat(centered * centered, lay.starts, axis=-1).reshape(-1, k)
     ss_within = squares - drift * drift / size
-    dev = means - (sums.sum(axis=-1) / n)[:, None]
-    sq_between = (size * (dev * dev)).sum(axis=-1)
-    sq_within = ss_within.sum(axis=-1)
-    size1 = size - 1.0
-    others = n[:, None] - size  # observations outside each group, n - n_i
-    u_within = ss_within / size1
-    w_n = (size * u_within).sum(axis=-1) / n
+    dev = means - (np.add.reduce(sums, axis=-1) / n)[:, None]
+    sq_between = np.add.reduce(size * (dev * dev), axis=-1)
+    sq_within = np.add.reduce(ss_within, axis=-1)
+    u_within = ss_within / lay.size1
+    w_n = np.add.reduce(size * u_within, axis=-1) / n
     # Between part from sufficient statistics: combining the pair-mean
     # identity over all group pairs collapses to one weighted contrast.
-    n1 = n - 1.0
-    pairs = n * n1  # ordered pairs, 2 C(n, 2)
-    b_n = (n * sq_between - (others * u_within).sum(axis=-1)) / pairs
-    u_pooled = (sq_within + sq_between) / n1  # total SS = within SS + between SS
-    m = _m_n(n, (others / size1).sum(axis=-1), k)
+    b_n = (n * sq_between - np.add.reduce(lay.others * u_within, axis=-1)) / lay.pairs
+    u_pooled = (sq_within + sq_between) / lay.n1  # total SS = within SS + between SS
     degenerate = np.sqrt(w_n) <= _DEGENERACY_ULPS * _EPS * peak
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        j = 0.5 * pairs * b_n / (w_n * np.sqrt(m))
+        j = 0.5 * lay.pairs * b_n / (w_n * lay.root_m)
         f = (sq_between / (k - 1)) / (sq_within / (n - k))
         if exponent is not None:
             u_within = np.ldexp(u_within, 2 * exponent[:, None])
             u_pooled, w_n, b_n, sq_between, sq_within = (
-                np.ldexp(x, 2 * exponent) for x in (u_pooled, w_n, b_n, sq_between, sq_within)
+                np.ldexp(a, 2 * exponent) for a in (u_pooled, w_n, b_n, sq_between, sq_within)
             )
-    return _Stats(u_within, u_pooled, w_n, b_n, j, f, sq_between, sq_within, m, degenerate)
+    return _Stats(u_within, u_pooled, w_n, b_n, j, f, sq_between, sq_within, degenerate)
 
 
 def within_u(dataset: Dataset, i: int) -> float:
@@ -338,14 +393,7 @@ def m_n(design: Design) -> float:
     Closed form: (n choose 2)(k - 1) {1 + (1/n) sum_i (n - n_i) / ((n_i - 1)(k - 1))};
     grows like n^3 when group sizes stay bounded.
     """
-    sizes = np.asarray(design.group_sizes, dtype=float)
-    return float(_m_n(design.n, ((design.n - sizes) / (sizes - 1.0)).sum(), design.k))
-
-
-def _m_n(n, weight_sum, k):
-    """:func:`m_n`, multiplied out, from n, k and the sum of the same-group
-    pair weights (n - n_i) / (n_i - 1) over groups; elementwise over rows."""
-    return 0.5 * (n - 1) * (n * (k - 1) + weight_sum)
+    return _design_layout(design.group_sizes).m
 
 
 class EtaWeights:
@@ -585,28 +633,43 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in (0, 1)")
 
 
-def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float) -> int:
-    """Number of rows of the kernel's output, for rows of these group sizes,
-    that the U-test ("U") or F-test ("F") rejects at level ``alpha``: the
-    non-degenerate rows whose statistic reaches the method's critical value
-    (:func:`_critical`), one for U and one per distinct n - k for F.  PERM
-    decides by the same kind of threshold, ``stop`` in ``simlab.run_scenario``."""
+def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float, rows=slice(None)) -> int:
+    """Number of the kernel output's ``rows``, each with one row of group
+    sizes in ``sizes`` or all with its one row, that the U-test ("U") or
+    F-test ("F") rejects at level ``alpha``: the non-degenerate rows whose
+    statistic reaches the method's critical value (:func:`_critical`), one
+    for U and one per distinct n - k for F.  Only the statistic and the
+    degeneracy flag of those rows are read.  PERM decides by the same kind
+    of threshold, ``stop`` in ``simlab.run_scenario``."""
     stat, crit = st.j, _critical(alpha)
     if method == "F":
         k = sizes.shape[-1]
         d2, row_d2 = np.unique(sizes.sum(axis=-1) - k, return_inverse=True)
         stat, crit = st.f, np.array([_critical(alpha, k - 1.0, v) for v in d2.tolist()])[row_d2]
-    return int(np.count_nonzero(~st.degenerate & (stat >= crit)))
+    return int(np.count_nonzero(~st.degenerate[rows] & (stat[rows] >= crit)))
 
 
-def _nondegenerate_statistics(dataset: Dataset) -> _Stats:
-    """Kernel output (one row) of a dataset whose test is defined."""
+def _test_results(dataset: Dataset, alpha: float, methods: str) -> list[TestResult]:
+    """Results of the U-test ("U") and the F-test ("F") of a dataset, in the
+    order ``methods`` lists them, from one kernel call."""
+    _check_alpha(alpha)
     st = _statistics(dataset.values, np.array([dataset.design.group_sizes]))
     if st.degenerate[0]:
         raise DegenerateWithinVariance(
             "every group is constant up to rounding; the within-group variance is zero"
         )
-    return st
+    design, results = dataset.design, []
+    for method in methods:
+        if method == "U":
+            stat, df = float(st.j[0]), None
+            p = normal_sf(stat)
+            extras = {"w_n": float(st.w_n[0]), "b_n": float(st.b_n[0]), "m_n": m_n(design)}
+        else:
+            stat, df = float(st.f[0]), (float(design.k - 1), float(design.n - design.k))
+            p = f_sf(stat, *df)
+            extras = {"sq_between": float(st.sq_between[0]), "sq_within": float(st.sq_within[0])}
+        results.append(TestResult(method, stat, p, p <= alpha, alpha, df, extras))
+    return results
 
 
 def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
@@ -625,18 +688,7 @@ def u_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
     calibration ("PERM", ``uvartest.simlab.permutation_pvalue``) is exact
     under exchangeability at any size.
     """
-    _check_alpha(alpha)
-    st = _nondegenerate_statistics(dataset)
-    stat, w_n, b_n = float(st.j[0]), float(st.w_n[0]), float(st.b_n[0])
-    p = normal_sf(stat)
-    return TestResult(
-        method="U",
-        statistic=stat,
-        p_value=p,
-        reject=p <= alpha,
-        alpha=alpha,
-        extras={"w_n": w_n, "b_n": b_n, "m_n": float(st.m_n[0])},
-    )
+    return _test_results(dataset, alpha, "U")[0]
 
 
 def f_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
@@ -645,20 +697,7 @@ def f_test(dataset: Dataset, alpha: float = 0.05) -> TestResult:
     F = [SS_between / (k - 1)] / [SS_within / (n - k)], referred to the
     central F distribution with (k - 1, n - k) degrees of freedom.
     """
-    _check_alpha(alpha)
-    st = _nondegenerate_statistics(dataset)
-    stat, sq_between, sq_within = float(st.f[0]), float(st.sq_between[0]), float(st.sq_within[0])
-    d1, d2 = float(dataset.design.k - 1), float(dataset.design.n - dataset.design.k)
-    p = f_sf(stat, d1, d2)
-    return TestResult(
-        method="F",
-        statistic=stat,
-        p_value=p,
-        reject=p <= alpha,
-        alpha=alpha,
-        df=(d1, d2),
-        extras={"sq_between": sq_between, "sq_within": sq_within},
-    )
+    return _test_results(dataset, alpha, "F")[0]
 
 
 def moment_oracle(

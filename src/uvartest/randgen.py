@@ -10,7 +10,6 @@ point and replicate without any shared state.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -106,7 +105,7 @@ class NoiseSpec:
 
     def with_variance(self, target_variance: float) -> "NoiseSpec":
         """Same family and shape, different variance."""
-        return dataclasses.replace(self, target_variance=target_variance)
+        return NoiseSpec(self.family, target_variance, self.df, self.skew)
 
 
 @dataclass(frozen=True)

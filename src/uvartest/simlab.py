@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Dataset, TestResult, _Stats, _check_alpha, _rejections, _statistics, u_test
+from .core import Dataset, TestResult, _check_alpha, _rejections, _statistics, u_test
 from .randgen import (
     _DESIGN_KINDS,
     Balanced,
@@ -218,27 +218,30 @@ def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]
         yield tuple(free.pop(r - j) for combo in ranks for j, r in enumerate(combo))
 
 
-def _exceedances(outputs: Iterable[_Stats], j_obs: float, stop: int | None = None) -> int:
-    """Number of permuted rows, over the kernel ``outputs`` of one stack of
-    them each, whose statistic ties or exceeds ``j_obs``.  A tie is a
-    statistic within a relative 1e-9 of ``j_obs``; a degenerate permuted
-    row never counts.  With ``stop``, the count is returned as soon as it
-    passes ``stop``: the rest of the outputs cannot bring it back to
-    ``stop`` or below, and are never computed."""
+def _exceedances(outputs: Iterable[tuple[np.ndarray, np.ndarray]], j_obs: float,
+                 stop: int | None = None) -> int:
+    """Number of permuted rows, over the ``(j, degenerate)`` kernel outputs
+    of one stack of them each, whose statistic ties or exceeds ``j_obs``.
+    A tie is a statistic within a relative 1e-9 of ``j_obs``; a degenerate
+    permuted row never counts.  With ``stop``, the count is returned as
+    soon as it passes ``stop``: the rest of the outputs cannot bring it
+    back to ``stop`` or below, and are never computed."""
     threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
     exceed = 0
-    for st in outputs:
-        exceed += int(np.count_nonzero(~st.degenerate & (st.j >= threshold)))
+    for j, degenerate in outputs:
+        exceed += int(np.count_nonzero(~degenerate & (j >= threshold)))
         if stop is not None and exceed > stop:
             break
     return exceed
 
 
-def _stack_statistics(stacks, sizes: np.ndarray) -> Iterable[_Stats]:
-    """Kernel output of each (rows, n) value stack of ``stacks``, whose
-    group sizes are the (1, k) array ``sizes``: one call per stack, made
-    only when the output is asked for."""
-    return (_statistics(x.ravel(), sizes.repeat(len(x), axis=0)) for x in stacks)
+def _stack_statistics(stacks, sizes: np.ndarray) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """``(j, degenerate)`` of the kernel output of each (rows, n) value stack
+    of ``stacks``, whose group sizes are the (1, k) array ``sizes``: one
+    call per stack, made only when the output is asked for."""
+    for x in stacks:
+        st = _statistics(x.ravel(), sizes)
+        yield st.j, st.degenerate
 
 
 def _permuted_stacks(rng: np.random.Generator, y: np.ndarray, count: int) -> Iterable[np.ndarray]:
@@ -389,26 +392,25 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
             rejections = dict.fromkeys(spec.methods, 0)
             degenerate = 0
             for block in _blocks(spec, gen, b_spec, fixed_sizes, head, cell_index, grid_index):
-                sizes = np.array([s for s, _, _ in block])
+                # one row of sizes serves every row of a fixed design
+                sizes = np.array([s for s, _, _ in block]) if redraw else fixed_sizes[None]
                 values = np.concatenate([rows for _, rows, _ in block], axis=None)
-                if not np.isfinite(values).all():
-                    raise ValueError("observations must be finite")
+                own = slice(None)  # the replicates' own rows of the kernel output
                 if head:
                     heights = np.array([len(rows) for _, rows, _ in block])
-                    st = _statistics(values, sizes.repeat(heights, axis=0))
-                    starts = heights.cumsum() - heights
-                    own = _Stats._make(a[starts] for a in st)
+                    own = heights.cumsum() - heights
+                    st = _statistics(values, sizes if len(sizes) == 1 else sizes.repeat(heights, axis=0))
                 else:
-                    st = own = _statistics(values, sizes)
-                degenerate += int(np.count_nonzero(own.degenerate))
+                    st = _statistics(values, sizes)
+                degenerate += int(np.count_nonzero(st.degenerate[own]))
                 for method in spec.methods:
                     if method != "PERM":
-                        rejections[method] += _rejections(method, own, sizes, spec.alpha)
+                        rejections[method] += _rejections(method, st, sizes, spec.alpha, own)
                     elif head:  # else stop < 0: no count rejects
-                        for (s, rows, rng), i in zip(block, starts.tolist()):
+                        for (s, rows, rng), i in zip(block, own.tolist()):
                             if st.degenerate[i]:
                                 continue
-                            heads = _Stats._make(a[i + 1:i + len(rows)] for a in st)
+                            heads = st.j[i + 1:i + len(rows)], st.degenerate[i + 1:i + len(rows)]
                             rest = _permuted_stacks(rng, rows[0], spec.n_perm + 1 - len(rows))
                             outputs = itertools.chain([heads], _stack_statistics(rest, s[None]))
                             rejections[method] += _exceedances(outputs, st.j[i], stop) <= stop

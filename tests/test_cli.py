@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvartest import cli
+from uvartest import cli, core
 from uvartest.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DEGENERATE,
@@ -137,6 +137,23 @@ class TestCmdTest:
         assert [r["method"] for r in reports] == ["U", "F"]
         for report in reports:
             assert set(report) == REPORT_KEYS
+
+    def test_both_makes_one_kernel_call(self, worked_csv, capsys, monkeypatch):
+        """--method both builds the U and F reports from one kernel call,
+        and they equal the reports of --method u and --method f."""
+        calls = []
+        kernel = core._statistics
+
+        def counted(values, sizes):
+            calls.append(sizes.shape)
+            return kernel(values, sizes)
+
+        monkeypatch.setattr(core, "_statistics", counted)
+        code, out, _ = _run(capsys, "test", worked_csv, "--method", "both")
+        assert code == EXIT_OK
+        assert calls == [(1, 2)]
+        singles = [json.loads(_run(capsys, "test", worked_csv, "--method", m)[1]) for m in "uf"]
+        assert json.loads(out) == singles
 
     def test_perm_method(self, worked_csv, capsys):
         code, out, _ = _run(

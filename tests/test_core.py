@@ -546,6 +546,50 @@ class TestBatchInvariance:
         assert _statistics(rows[19], sizes[19][None]).degenerate[0]
 
 
+class TestDesignConstantsMemo:
+    """The constants of one design are computed once (``core._design_layout``)
+    and a stack of its rows is read as one (R, n) array; every output field
+    is bit-identical to that of the same rows in a block of mixed designs,
+    whose constants are computed per call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_memoized_constants_give_the_same_statistics(self, data, k, seed):
+        design = st.tuples(*[st.integers(2, 6)] * k)
+        pool = data.draw(st.lists(design, min_size=2, max_size=3, unique=True))
+        which = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=12))
+        assume(len(set(which)) > 1)
+        # rows near 1e200 or 1e-200 make the kernel scale every row of a
+        # block; rows with constant groups are degenerate
+        kinds = data.draw(st.lists(st.sampled_from([1.0, 1e200, 1e-200, 0.0]),
+                                   min_size=len(which), max_size=len(which)))
+        rng = np.random.default_rng(seed)
+        rows = []
+        for d, kind in zip(which, kinds):
+            sizes = pool[d]
+            noise = rng.standard_normal(sum(sizes)) if kind else 0.0
+            rows.append((np.repeat(rng.standard_normal(k), sizes) + noise) * (kind or 1.0))
+        block = _statistics(np.concatenate(rows), np.array([pool[d] for d in which]))
+        for d, sizes in enumerate(pool):
+            mine = [i for i, w in enumerate(which) if w == d]
+            if not mine:
+                continue
+            stack = _statistics(np.concatenate([rows[i] for i in mine]), np.array([sizes]))
+            for name in stack._fields:
+                got, want = getattr(stack, name), getattr(block, name)[mine]
+                assert got.tobytes() == want.tobytes(), (sizes, name)
+            for value in core._design_layout(sizes):
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable and value.size <= k
+                else:
+                    assert isinstance(value, (int, float, tuple))
+
+    def test_values_that_are_not_finite_raise(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                _statistics(np.array([1.0, 2.0, bad, 4.0]), np.array([[2, 2]]))
+
+
 class TestNormalSf:
     def test_symmetry_point(self):
         assert normal_sf(0.0) == 0.5

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uvartest import simlab
+from uvartest import core, simlab
 from uvartest.core import Dataset, DegenerateWithinVariance, _statistics, u_test
 from uvartest.randgen import (
     Balanced,
@@ -196,6 +196,31 @@ class TestRunScenario:
             table = run_scenario(spec)
         assert len(calls) == 2 * (7 * len(spec.sigma_b2_grid) + streams_per_cell)
         assert table == run_scenario(spec)
+
+    def test_design_constants_once_per_fixed_design(self):
+        """A U+PERM run over two fixed designs computes the kernel's design
+        constants once per design, for blocks, heads and later stacks
+        alike; blocks of redrawn designs compute theirs per call and keep
+        none."""
+        spec = _tiny_scenario(
+            design_gens=(Balanced(4, 3), Balanced(3, 5)), methods=("U", "PERM"), n_perm=39
+        )
+        computed = []
+        layout = core._layout
+
+        def counted(sizes):
+            computed.append(sizes.shape)
+            return layout(sizes)
+
+        core._design_layout.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_layout", counted)
+            run_scenario(spec)
+        assert computed == [(1, 4), (1, 3)]
+        assert core._design_layout.cache_info().misses == 2
+        run_scenario(_tiny_scenario(design_gens=(ShiftedGeometric(4, 0.3),),
+                                    redraw_design_per_replicate=True))
+        assert core._design_layout.cache_info().currsize == 2
 
     def test_perm_method_smoke(self):
         spec = _tiny_scenario(
