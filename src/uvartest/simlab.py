@@ -13,7 +13,10 @@ after its errors, and the block's call evaluates that stack too.  The
 replicate draws the rest from its stream, a stack of rows per generator
 call, but only until its decision is fixed; its rates are still those of the
 full ``n_perm`` test.  ``permutation_pvalue`` draws through the same helper.
-Every run of a scenario gives bit-identical results.
+On a balanced design those later stacks are counted from each row's k group
+sums, a screen that calls the kernel only for rows too close to the threshold
+(or to degeneracy) to decide with certainty.  Every run of a scenario gives
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Dataset, TestResult, _check_alpha, _rejections, _statistics, u_test
+from .core import (_EPS, _SAFE_PEAK, Dataset, TestResult, _check_alpha, _design_layout,
+                   _rejections, _statistics, u_test)
 from .randgen import (
     _DESIGN_KINDS,
     Balanced,
@@ -218,6 +222,11 @@ def _iter_assignments(n: int, sizes: Sequence[int]) -> Iterable[tuple[int, ...]]
         yield tuple(free.pop(r - j) for combo in ranks for j, r in enumerate(combo))
 
 
+def _threshold(j_obs: float) -> float:
+    """The smallest permuted J that ties or exceeds ``j_obs``, to a relative 1e-9."""
+    return j_obs - 1e-9 * max(1.0, abs(j_obs))
+
+
 def _exceedances(outputs: Iterable[tuple[np.ndarray, np.ndarray]], j_obs: float,
                  stop: int | None = None) -> int:
     """Number of permuted rows, over the ``(j, degenerate)`` kernel outputs
@@ -226,8 +235,7 @@ def _exceedances(outputs: Iterable[tuple[np.ndarray, np.ndarray]], j_obs: float,
     permuted row never counts.  With ``stop``, the count is returned as
     soon as it passes ``stop``: the rest of the outputs cannot bring it
     back to ``stop`` or below, and are never computed."""
-    threshold = j_obs - 1e-9 * max(1.0, abs(j_obs))
-    exceed = 0
+    threshold, exceed = _threshold(j_obs), 0
     for j, degenerate in outputs:
         exceed += int(np.count_nonzero(~degenerate & (j >= threshold)))
         if stop is not None and exceed > stop:
@@ -242,6 +250,51 @@ def _stack_statistics(stacks, sizes: np.ndarray) -> Iterable[tuple[np.ndarray, n
     for x in stacks:
         st = _statistics(x.ravel(), sizes)
         yield st.j, st.degenerate
+
+
+def _screened_statistics(stacks, sizes, y, j_obs) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """``(j, degenerate)`` of each (rows, n) stack of permutations of the
+    values ``y`` with group sizes ``sizes``, as ``_stack_statistics`` gives
+    it, for ``_exceedances`` to count against ``j_obs``; on a balanced
+    design most rows are decided from their k group sums alone.
+
+    A permutation keeps the total sum of squares SST, so with m values per
+    group J = k / (2 sqrt(M_n)) * (n (m - 1) SSB / (SST - SSB) - (n - m))
+    grows with SSB = q / m alone, q = sum_i (S_i - m mean(y))**2 over the
+    group sums S_i, and a row reaches ``_threshold(j_obs)`` iff q >= q*.
+    A row with q more than ``band`` from q* gets j = +inf (it counts) or
+    -inf (it does not).  ``band`` bounds the rounding errors of the
+    kernel's J and of q and q*, in units of q, from n max|y|**2 and SST.
+    The rows inside it, and those too close to q = m SST to rule out the
+    kernel's degeneracy flag, take the kernel's output, so every row
+    counts exactly as the kernel counts it.  Stacks of an unbalanced
+    design, or of values the kernel scales (max|y| outside [2**-256,
+    2**256]), take the kernel's output throughout."""
+    k, m, peak = sizes.shape[-1], int(sizes[0, 0]), float(np.maximum.reduce(np.abs(y)))
+    if (sizes != m).any() or not 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK:
+        yield from _stack_statistics(stacks, sizes)
+        return
+    lay, mean = _design_layout(tuple(sizes[0].tolist())), np.add.reduce(y) / y.size
+    sst, center = float(np.add.reduce((y - mean) ** 2)), m * mean
+    # the threshold J = t as a ratio SSB / SSW = rho, then as q; rho < 0 (t
+    # below the least J) counts every row, as q* = 0 does with the band round it
+    rho = max(0.0, (2.0 * lay.root_m * _threshold(j_obs) / k + lay.n - m) / (lay.n * (m - 1)))
+    # Four rounding errors, in units of q: the kernel's J, q, SST and q*.  Each
+    # sum adds at most n + k terms of at most max|y|, so by Cauchy-Schwarz each
+    # error is at most m g / 4 (sqrt(P SST) + SST), P = n max|y|**2, to first
+    # order; m g**2 P covers the second order.
+    g, p = 8.0 * (lay.n + k + 2) * _EPS, lay.n * peak * peak
+    q_star, band = m * sst * rho / (1.0 + rho), m * g * (math.sqrt(p * sst) + sst + g * p)
+    for x in stacks:
+        # Matrix-vector products sum fastest, in whatever order they take: the
+        # bound holds for any order, and only the rows that reach the kernel
+        # depend on these bits, never a count.
+        q = ((x.reshape(-1, m) @ np.ones(m)).reshape(-1, k) - center) ** 2 @ np.ones(k)
+        counted = (q > q_star + band) & (q <= m * sst - 2.0 * band)
+        j, degenerate = np.where(counted, np.inf, -np.inf), np.zeros(len(x), bool)
+        if (near := (q >= q_star - band) & ~counted).any():
+            j[near], degenerate[near] = next(_stack_statistics([x[near]], sizes))
+        yield j, degenerate
 
 
 def _permuted_stacks(rng: np.random.Generator, y: np.ndarray, count: int) -> Iterable[np.ndarray]:
@@ -279,7 +332,11 @@ def permutation_pvalue(
     variance never count as exceedances.  Random permutations are drawn as
     stacks of permuted values, one generator call per stack of at most
     2**16 values, with the rows and the final generator state of one
-    ``rng.permutation`` call per permutation.
+    ``rng.permutation`` call per permutation.  On a balanced design a
+    permutation's statistic grows with the spread of its k group sums
+    alone, so each stack is counted from those sums; only rows within a
+    rounding-error bound of the threshold, or near degeneracy, are
+    evaluated by the kernel, and every count is the kernel's.
     """
     j_obs = u_test(dataset, alpha).statistic  # raises DegenerateWithinVariance if undefined
     design, n, values = dataset.design, dataset.design.n, dataset.values
@@ -295,24 +352,24 @@ def permutation_pvalue(
         rows = max(1, _CHUNK_VALUES // n)
         chunks = iter(lambda: list(itertools.islice(assignments, rows)), [])
         stacks = (values[np.array(chunk)] for chunk in chunks)
-        used = total
+        n_perm = total
     else:
         if n_perm is None or n_perm < 1:
             raise ValueError("n_perm must be at least 1")
         if seed is None:
             raise ValueError("a seed is required for random permutations")
         stacks = _permuted_stacks(_resolve_rng(seed), values, n_perm)
-        used = n_perm
 
-    exceed = _exceedances(_stack_statistics(stacks, np.array([design.group_sizes])), j_obs)
-    p = (1.0 + exceed) / (used + 1.0)
+    sizes = np.array([design.group_sizes])
+    exceed = _exceedances(_screened_statistics(stacks, sizes, values, j_obs), j_obs)
+    p = (1.0 + exceed) / (n_perm + 1.0)
     return TestResult(
         method="PERM",
         statistic=j_obs,
         p_value=p,
         reject=p <= alpha,
         alpha=alpha,
-        extras={"n_perm": used, "exceedances": exceed},
+        extras={"n_perm": n_perm, "exceedances": exceed},
     )
 
 
@@ -322,9 +379,9 @@ def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, 
     (*path, r) draws sizes (unless fixed), b, e, then, when ``head`` is not
     0, the first stack of ``_permuted_stacks`` over ``head`` permutations of
     the pooled vector: min(``head``, ``_CHUNK_VALUES`` // n) rows, or one
-    when n is larger.  A replicate's rows are its pooled vector, or with a
-    head the (1 + rows, n) array of the pooled vector and that stack below
-    it; the block cut counts them all.  PERM draws on."""
+    when n is larger.  A replicate is (sizes, pooled vector, that stack or
+    () without a head, stream); the block cut counts the rows of both.
+    PERM draws on."""
     block, used = [], 0
     for r in range(spec.replicates):
         rng = spec.seed.generator(*path, r)
@@ -332,13 +389,22 @@ def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, 
         b = sample_noise(b_spec, gen.k, rng)
         y = spec.mu + np.repeat(b, sizes)
         y += sample_noise(spec.e_spec, y.size, rng)
-        rows = np.concatenate([y[None], next(_permuted_stacks(rng, y, head))]) if head else y
-        if block and used + rows.size > _CHUNK_VALUES:
+        drawn = next(_permuted_stacks(rng, y, head)) if head else ()
+        if block and used + y.size * (1 + len(drawn)) > _CHUNK_VALUES:
             yield block
             block, used = [], 0
-        block.append((sizes, rows, rng))
-        used += rows.size
+        block.append((sizes, y, drawn, rng))
+        used += y.size * (1 + len(drawn))
     yield block
+
+
+def _perm_stop(alpha: float, n_perm: int) -> int:
+    """PERM's threshold: the largest exceedance count e that rejects,
+    (1 + e) / (n_perm + 1) <= alpha, or -1 when none does.  The closed form
+    is off by at most one where rounding puts alpha (n_perm + 1) next to an
+    integer, so the rule itself corrects it."""
+    stop = math.floor(alpha * (n_perm + 1)) - 1
+    return next(e for e in (stop + 1, stop, stop - 1) if e < 0 or (1.0 + e) / (n_perm + 1.0) <= alpha)
 
 
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
@@ -357,8 +423,9 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     errors and they are stacked below its row in the block (``_blocks``),
     so PERM counts their exceedances from the same call; the replicate
     then draws the rest of its ``n_perm`` permutations from its stream in
-    stacks, as ``permutation_pvalue`` does, only while the count is at most
-    ``stop``: the count only grows, so the decision is that of all
+    stacks, as ``permutation_pvalue`` does and counted as it counts them
+    (from group sums on a balanced design), only while the count is at
+    most ``stop``: the count only grows, so the decision is that of all
     ``n_perm`` permutations.  A degenerate replicate's first permutations
     are drawn but never counted; it is counted once and reported under
     every method.
@@ -368,11 +435,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    # PERM's threshold, computed once as U's and F's are: it rejects iff
-    # (1 + e) / (n_perm + 1) <= alpha for e exceedances, that is e <= stop.
-    stop = -1
-    while "PERM" in spec.methods and (1.0 + (stop + 1)) / (spec.n_perm + 1.0) <= spec.alpha:
-        stop += 1
+    stop = _perm_stop(spec.alpha, spec.n_perm) if "PERM" in spec.methods else -1
     # A replicate passes stop within its first 3 * (stop + 1) permutations when
     # its p-value is above about a third, as most that do not reject do, so
     # those are evaluated in the block's kernel call; the rest go on in full
@@ -393,27 +456,27 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
             degenerate = 0
             for block in _blocks(spec, gen, b_spec, fixed_sizes, head, cell_index, grid_index):
                 # one row of sizes serves every row of a fixed design
-                sizes = np.array([s for s, _, _ in block]) if redraw else fixed_sizes[None]
-                values = np.concatenate([rows for _, rows, _ in block], axis=None)
+                sizes = np.array([s for s, _, _, _ in block]) if redraw else fixed_sizes[None]
                 own = slice(None)  # the replicates' own rows of the kernel output
-                if head:
-                    heights = np.array([len(rows) for _, rows, _ in block])
+                if head:  # each replicate's row, then its first permutations, copied once
+                    values = np.concatenate([a for _, *rows, _ in block for a in rows], axis=None)
+                    heights = np.array([1 + len(drawn) for _, _, drawn, _ in block])
                     own = heights.cumsum() - heights
                     st = _statistics(values, sizes if len(sizes) == 1 else sizes.repeat(heights, axis=0))
                 else:
-                    st = _statistics(values, sizes)
+                    st = _statistics(np.concatenate([y for _, y, _, _ in block]), sizes)
                 degenerate += int(np.count_nonzero(st.degenerate[own]))
                 for method in spec.methods:
                     if method != "PERM":
                         rejections[method] += _rejections(method, st, sizes, spec.alpha, own)
                     elif head:  # else stop < 0: no count rejects
-                        for (s, rows, rng), i in zip(block, own.tolist()):
-                            if st.degenerate[i]:
-                                continue
-                            heads = st.j[i + 1:i + len(rows)], st.degenerate[i + 1:i + len(rows)]
-                            rest = _permuted_stacks(rng, rows[0], spec.n_perm + 1 - len(rows))
-                            outputs = itertools.chain([heads], _stack_statistics(rest, s[None]))
-                            rejections[method] += _exceedances(outputs, st.j[i], stop) <= stop
+                        for (s, y, drawn, rng), i in zip(block, own.tolist()):
+                            if not st.degenerate[i]:
+                                first = slice(i + 1, i + 1 + len(drawn))
+                                rest = _permuted_stacks(rng, y, spec.n_perm - len(drawn))
+                                outputs = itertools.chain([(st.j[first], st.degenerate[first])],
+                                                          _screened_statistics(rest, s[None], y, st.j[i]))
+                                rejections[method] += _exceedances(outputs, st.j[i], stop) <= stop
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(

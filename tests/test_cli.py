@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ class TestCmdTest:
         assert report["method"] == "PERM"
         assert report["extras"]["n_perm"] == 99
         assert 0.0 < report["p_value"] <= 1.0
+
+    def test_perm_balanced_golden(self, capsys):
+        """A balanced design's permutation report, byte for byte as committed
+        in tests/data: its 999 permutations go through the group-sum screen."""
+        data = Path(__file__).parent / "data"
+        argv = ["test", str(data / "perm-balanced.csv"), "--method", "perm", "--n-perm", "999"]
+        code, out, _ = _run(capsys, *argv, "--seed", "7")
+        assert code == EXIT_OK
+        assert out.encode() == (data / "perm-balanced.json").read_bytes()
 
     def test_perm_seed_env_default(self, worked_csv, capsys, monkeypatch):
         monkeypatch.setenv("UVARTEST_SEED", "5")

@@ -30,7 +30,9 @@ from uvartest.simlab import (
     ScenarioSpec,
     _exceedances,
     _iter_assignments,
+    _perm_stop,
     _permuted_stacks,
+    _screened_statistics,
     _stack_statistics,
     mc_se,
     permutation_pvalue,
@@ -672,6 +674,76 @@ class TestExceedanceStop:
             assert stop < stopped <= full
             assert _exceedances(iter(outputs[:used - 1]), j_obs) <= stop
         assert _exceedances(iter(outputs[:used]), j_obs) == stopped
+
+
+class TestPermStop:
+    """PERM's threshold in closed form is the count of the rule it stands
+    for: one less than the number of counts e in 0..n_perm with
+    (1 + e) / (n_perm + 1) <= alpha.  At alpha 0.7 the closed form alone
+    is one short, for instance at n_perm = 89."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2, 1 / 3, 0.7])
+    def test_equals_the_counting_rule(self, alpha):
+        wrong = []
+        for n_perm in range(1, 10_001):
+            counts = (1.0 + np.arange(n_perm + 1)) / (n_perm + 1.0) <= alpha
+            if _perm_stop(alpha, n_perm) != np.count_nonzero(counts) - 1:
+                wrong.append(n_perm)
+        assert not wrong
+
+
+class TestGroupSumScreen:
+    """On a balanced design the group-sum screen gives every stack the
+    kernel's exceedance count, with and without ``stop``, and decides rows
+    of well-scaled data without the kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        m=st.integers(2, 12),
+        offset=st.sampled_from([0.0, 2.0, -3.0, 1e3, 1e6, 1e8, -1e8]),
+        error_sd=st.sampled_from([1.0, 1e-3, 1e-15]),  # 1e-15: error variance 1e-30
+        dyadic=st.booleans(),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        stop=st.none() | st.integers(0, 20),
+    )
+    def test_counts_of_the_kernel(self, k, m, offset, error_sd, dyadic, shuffled, seed, stop):
+        rng = np.random.default_rng(seed)
+        design = np.array([[m] * k])
+        # dyadic: multiples of 1/4, exact in binary, so that ties are exact
+        draws = rng.integers(-4, 5, size=(2, k * m)) / 4.0 if dyadic else rng.standard_normal((2, k * m))
+        grouped = offset + np.repeat(draws[0, :k], m) + error_sd * draws[1]
+        y = grouped[rng.permutation(k * m)] if shuffled else grouped
+        observed = _statistics(y, design)
+        assume(not observed.degenerate[0])
+        j_obs = float(observed.j[0])
+
+        def reorders(x):
+            """Within-group reorders of relabelled groups of the row x."""
+            groups = x.reshape(k, m)
+            return np.array([np.concatenate([rng.permutation(g) for g in groups[rng.permutation(k)]])
+                             for _ in range(15)])
+
+        # ties with the observed row, and rows as near degenerate as the errors
+        perms = y[np.array([rng.permutation(k * m) for _ in range(60)])]
+        stacks = [reorders(y), reorders(grouped), perms[:25], perms[25:]]
+        kernel = list(_stack_statistics(stacks, design))
+        screened = list(_screened_statistics(stacks, design, y, j_obs))
+        assert [_exceedances([o], j_obs) for o in screened] == [
+            _exceedances([o], j_obs) for o in kernel
+        ]
+        assert _exceedances(iter(screened), j_obs, stop) == _exceedances(iter(kernel), j_obs, stop)
+
+    def test_decides_well_scaled_rows_alone(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        design = np.array([[5] * 10])
+        y = 2.0 + np.repeat(0.5 * rng.standard_normal(10), 5) + rng.standard_normal(50)
+        j_obs = float(_statistics(y, design).j[0])
+        stacks = list(_permuted_stacks(rng, y, 999))
+        kernel = _exceedances(_stack_statistics(stacks, design), j_obs)
+        monkeypatch.setattr(simlab, "_stack_statistics", None)  # the kernel is never asked
+        assert _exceedances(_screened_statistics(stacks, design, y, j_obs), j_obs) == kernel
 
 
 class TestPresets:
