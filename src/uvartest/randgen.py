@@ -5,16 +5,19 @@ variance-rescaled Student t, standardized skew-t) and the group-size
 generators (balanced, shifted geometric, uniform over a size range).
 Streams are derived from a (master seed, stream id) pair plus an optional
 integer path, so independent substreams can be spawned per scenario, grid
-point and replicate without any shared state.
+point and replicate without any shared state.  ``SeedSpec.generators``
+seeds the streams of consecutive replicate indices in one batch, with the
+values that seeding each on its own gives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Union
+from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
@@ -35,11 +38,50 @@ __all__ = [
 ]
 
 _UINT64_MAX = 2**64 - 1
+_MASK32 = 0xFFFFFFFF
+# The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# generate_state(4, uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3 into
+# 32-bit words 0..7: word i is xor-ed with INIT_B MULT_B**i, then multiplied
+# by INIT_B MULT_B**(i+1).
+_STATE_STEPS = tuple(
+    (_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32, _INIT_B * pow(_MULT_B, i + 1, 2**32) & _MASK32)
+    for i in range(8)
+)
+# From this many streams on, seeding them together costs less than one by one
+# (on a 2-core x86_64 VM, 2 streams took 28 against 30 us, 4 took 42 against 61).
+_BATCH_MIN = 2
+
+
+def _word_count(value: int) -> int:
+    """Number of 32-bit words numpy's SeedSequence splits ``value`` into."""
+    return max(1, -(-operator.index(value).bit_length() // 32))
+
+
+class _Words:
+    """Seed material that hands PCG64 its four state words, computed in
+    advance by ``SeedSpec.generators``; it cannot spawn.  It is registered
+    as a numpy ``ISeedSequence`` when first used, so that importing this
+    module does not import ``numpy.random``."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds the four uint64 words of one PCG64 seeding only")
+        return self.row
 
 
 @dataclass(frozen=True, slots=True)
 class SeedSpec:
-    """Root of a family of independent, reproducible random streams."""
+    """Root of a family of independent, reproducible random streams.
+
+    Both fields are integers in 0..2**64 - 1 (numpy integers are taken as
+    ``int``); a float, a string or a bool raises TypeError."""
 
     master_seed: int
     stream_id: int = 0
@@ -47,8 +89,15 @@ class SeedSpec:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
             value = getattr(self, name)
-            if not (0 <= int(value) <= _UINT64_MAX):
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+            object.__setattr__(self, name, value)
 
     def seed_sequence(self, *path: int) -> np.random.SeedSequence:
         """Seed material for the substream identified by ``path``."""
@@ -59,6 +108,46 @@ class SeedSpec:
     def generator(self, *path: int) -> np.random.Generator:
         """Fresh generator for the substream identified by ``path``."""
         return np.random.Generator(np.random.PCG64(self.seed_sequence(*path)))
+
+    def generators(self, *path: int, count: int) -> Iterator[np.random.Generator]:
+        """The generators ``self.generator(*path, r)`` for r in 0..count - 1,
+        built one at a time as they are asked for, equal to those in every
+        draw and state.  From ``_BATCH_MIN`` streams on they share the seed
+        material of ``path``, and their ``bit_generator.seed_seq`` holds only
+        their state words: it cannot spawn.
+
+        SeedSequence mixes its entropy words (the master seed padded to 4
+        words, then the stream id and the path, then r) into a pool of 4
+        words, and a word past the fourth takes 4 hash steps of a fixed
+        sequence, one per pool word, whatever the data.  So r's pool is the
+        pool of ``path`` mixed with r at the 4 steps after the path's words,
+        and its state words follow from that pool alone.  Indices from 2**32
+        on take two words and are seeded one by one."""
+        batched = min(count, 2**32) if count >= _BATCH_MIN else 0
+        if batched:
+            np.random.bit_generator.ISeedSequence.register(_Words)  # a no-op once registered
+            pool = self.seed_sequence(*path).pool.tolist()
+            # hash steps before r's: 4 to fill the pool, 12 to cross-mix it,
+            # 4 for each word past the fourth (a master seed takes at most 2)
+            words = 4 + _word_count(self.stream_id) + sum(map(_word_count, path))
+            steps = [_INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 2**32) & _MASK32]
+            for _ in range(4):
+                steps.append(steps[-1] * _MULT_A & _MASK32)
+            mixing = tuple(zip(pool, steps, steps[1:]))
+            for r in range(batched):
+                mixed = []
+                for word, xor, mul in mixing:  # hash r, then mix it into the word
+                    h = (r ^ xor) * mul & _MASK32
+                    h = _MIX_MULT_L * word - _MIX_MULT_R * (h ^ h >> 16) & _MASK32
+                    mixed.append(h ^ h >> 16)
+                state = []
+                for i, (xor, mul) in enumerate(_STATE_STEPS):
+                    h = (mixed[i & 3] ^ xor) * mul & _MASK32
+                    state.append(h ^ h >> 16)
+                row = [lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])]
+                yield np.random.Generator(np.random.PCG64(_Words(np.array(row, np.uint64))))
+        for r in range(batched, count):
+            yield self.generator(*path, r)
 
 
 class NoiseFamily(str, Enum):

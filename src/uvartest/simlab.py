@@ -6,8 +6,10 @@ between-group variances and a seed.  Running it produces a rejection table:
 one row per (design cell, grid value, method) with the empirical rejection
 rate and its Monte Carlo standard error.  Replicates are drawn one by one,
 each from its own stream seeded by (seed, cell index, grid index, replicate
-index), and evaluated in blocks of at most 2**16 values: one
-statistic-kernel call per block, for fixed and redrawn designs alike.
+index); the streams of one (cell, grid value) are seeded in one batch, with
+the values of seeding each on its own.  Replicates are evaluated in blocks
+of at most 2**16 values: one statistic-kernel call per block, for fixed and
+redrawn designs alike.
 Under PERM each replicate also draws its first stack of permuted values right
 after its errors, and the block's call evaluates that stack too.  The
 replicate draws the rest from its stream, a stack of rows per generator
@@ -375,16 +377,17 @@ def permutation_pvalue(
 
 def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, head, *path: int):
     """Replicates (group sizes, rows, stream) of one (cell, grid value) in
-    blocks of at most ``_CHUNK_VALUES`` values or one replicate.  Stream
-    (*path, r) draws sizes (unless fixed), b, e, then, when ``head`` is not
-    0, the first stack of ``_permuted_stacks`` over ``head`` permutations of
-    the pooled vector: min(``head``, ``_CHUNK_VALUES`` // n) rows, or one
-    when n is larger.  A replicate is (sizes, pooled vector, that stack or
-    () without a head, stream); the block cut counts the rows of both.
-    PERM draws on."""
+    blocks of at most ``_CHUNK_VALUES`` values or one replicate.  The
+    streams (*path, r) of all replicates r are seeded in one batch by
+    ``SeedSpec.generators``, with the values of seeding each on its own, and
+    built as the loop reaches them.  Stream (*path, r) draws sizes (unless
+    fixed), b, e, then, when ``head`` is not 0, the first stack of
+    ``_permuted_stacks`` over ``head`` permutations of the pooled vector:
+    min(``head``, ``_CHUNK_VALUES`` // n) rows, or one when n is larger.  A
+    replicate is (sizes, pooled vector, that stack or () without a head,
+    stream); the block cut counts the rows of both.  PERM draws on."""
     block, used = [], 0
-    for r in range(spec.replicates):
-        rng = spec.seed.generator(*path, r)
+    for rng in spec.seed.generators(*path, count=spec.replicates):
         sizes = gen.sizes(rng) if fixed_sizes is None else fixed_sizes
         b = sample_noise(b_spec, gen.k, rng)
         y = spec.mu + np.repeat(b, sizes)

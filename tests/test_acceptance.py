@@ -173,8 +173,7 @@ def test_criterion_3_moment_oracles():
         b_vals = np.empty(reps)
         u_vals = np.empty((reps, k))
         chunk = np.empty((rows, n))
-        for r in range(reps):
-            rng = MASTER.generator(3, tag, r)
+        for r, rng in enumerate(MASTER.generators(3, tag, count=reps)):
             b = rng.standard_normal(k) * math.sqrt(sigma_b2) if sigma_b2 else np.zeros(k)
             if t5_errors:
                 e = rng.standard_t(5.0, n) * math.sqrt(3.0 / 5.0)

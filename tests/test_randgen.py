@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from uvartest.core import Design, kappa
 from uvartest.randgen import (
+    _BATCH_MIN,
     Balanced,
     NoiseFamily,
     NoiseSpec,
@@ -44,6 +47,51 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(2**64)
+        with pytest.raises(ValueError):
+            SeedSpec(0, -1)
+
+    @pytest.mark.parametrize("value", [1.5, -0.5, 2.0, "7", None, True, False, np.True_])
+    def test_rejects_non_integers_at_construction(self, value):
+        with pytest.raises(TypeError, match="master_seed must be an integer"):
+            SeedSpec(value)
+        with pytest.raises(TypeError, match="stream_id must be an integer"):
+            SeedSpec(0, value)
+
+    def test_numpy_integers_become_int(self):
+        seed = SeedSpec(np.uint64(2**64 - 1), np.int32(3))
+        assert type(seed.master_seed) is int and type(seed.stream_id) is int
+        assert seed == SeedSpec(2**64 - 1, 3)
+        assert (seed.generator(1).random(4) == SeedSpec(2**64 - 1, 3).generator(1).random(4)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.integers(0, 2**96), max_size=3),
+        st.integers(0, _BATCH_MIN + 4),
+    )
+    @example(2**32 - 1, 2**32, [2**64 - 1], _BATCH_MIN)
+    @example(2**32, 2**32 - 1, [], _BATCH_MIN + 1)
+    @example(2**64 - 1, 2**64 - 1, [2**32, 0, 2**96], _BATCH_MIN + 4)
+    def test_generators_match_per_replicate_streams(self, master, stream, path, count):
+        """Batched streams equal per-replicate ones, in state before and
+        after draws, on both sides of the fallback cut."""
+        seed = SeedSpec(master, stream)
+        batch = list(seed.generators(*path, count=count))
+        assert len(batch) == count
+        for r, rng in enumerate(batch):
+            reference = seed.generator(*path, r)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.integers(0, 2**63, 3).tolist() == reference.integers(0, 2**63, 3).tolist()
+            assert rng.standard_normal(2).tobytes() == reference.standard_normal(2).tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_batched_streams_cannot_spawn(self):
+        rng = next(SeedSpec(1).generators(count=_BATCH_MIN))
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(8)
 
     def test_streams_uncorrelated(self):
         n = 1_000_000

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from uvartest import core, simlab
 from uvartest.core import Dataset, DegenerateWithinVariance, _statistics, u_test
 from uvartest.randgen import (
+    _BATCH_MIN,
     Balanced,
     NoiseFamily,
     NoiseSpec,
@@ -184,20 +185,23 @@ class TestRunScenario:
     )
     def test_fixed_design_stream_only_when_sizes_draw(self, gen, streams_per_cell):
         """One stream per replicate, plus the cell's own stream for a fixed
-        design only when its sizes draw from it."""
-        calls = []
-        generator = SeedSpec.generator
+        design only when its sizes draw from it, whether streams are seeded
+        one by one (``SeedSpec.generator``, below ``_BATCH_MIN`` replicates)
+        or in a batch (``SeedSpec.generators``): every stream is one PCG64."""
+        pcg64 = np.random.PCG64
+        for replicates in (_BATCH_MIN - 1, _BATCH_MIN + 1):
+            streams = []
 
-        def counted(seed, *path):
-            calls.append(path)
-            return generator(seed, *path)
+            def counted(seed_seq):
+                streams.append(seed_seq)
+                return pcg64(seed_seq)
 
-        spec = _tiny_scenario(design_gens=(gen, gen), replicates=7)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SeedSpec, "generator", counted)
-            table = run_scenario(spec)
-        assert len(calls) == 2 * (7 * len(spec.sigma_b2_grid) + streams_per_cell)
-        assert table == run_scenario(spec)
+            spec = _tiny_scenario(design_gens=(gen, gen), replicates=replicates)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.random, "PCG64", counted)
+                table = run_scenario(spec)
+            assert len(streams) == 2 * (replicates * len(spec.sigma_b2_grid) + streams_per_cell)
+            assert table == run_scenario(spec)
 
     def test_design_constants_once_per_fixed_design(self):
         """A U+PERM run over two fixed designs computes the kernel's design
