@@ -7,7 +7,10 @@ Streams are derived from a (master seed, stream id) pair plus an optional
 integer path, so independent substreams can be spawned per scenario, grid
 point and replicate without any shared state.  ``SeedSpec.generators``
 seeds the streams of consecutive replicate indices in one batch, with the
-values that seeding each on its own gives.
+values that seeding each on its own gives.  Noise is drawn in two steps,
+raw variates from the generator, then scaled to the family and variance;
+``sample_noise`` runs both for one array, and the simulation engine scales
+the raw variates of a whole block of replicates at once.
 """
 
 from __future__ import annotations
@@ -54,6 +57,17 @@ _STATE_STEPS = tuple(
 _BATCH_MIN = 2
 
 
+def _set_integer(obj, name: str) -> int:
+    """Field ``name`` of the frozen dataclass ``obj``, set to its value as an
+    ``int`` (numpy integers are taken); a float, a string or a bool raises
+    TypeError."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(obj, name, operator.index(value))
+    return getattr(obj, name)
+
+
 def _word_count(value: int) -> int:
     """Number of 32-bit words numpy's SeedSequence splits ``value`` into."""
     return max(1, -(-operator.index(value).bit_length() // 32))
@@ -88,16 +102,8 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            if not 0 <= value <= _UINT64_MAX:
+            if not 0 <= _set_integer(self, name) <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
-            object.__setattr__(self, name, value)
 
     def seed_sequence(self, *path: int) -> np.random.SeedSequence:
         """Seed material for the substream identified by ``path``."""
@@ -165,7 +171,7 @@ class NoiseSpec:
     variate (asymmetry ``skew``, ``df`` degrees of freedom), subtracts its
     exact mean, divides by its exact standard deviation and rescales to
     variance v.  A target variance of 0 is the point mass at zero, used for
-    null-hypothesis grids.
+    null-hypothesis grids.  ``df`` (above 2) and ``skew`` must be finite.
     """
 
     family: NoiseFamily
@@ -180,15 +186,15 @@ class NoiseSpec:
             if self.df is not None or self.skew is not None:
                 raise ValueError("normal noise takes no shape parameters")
         elif self.family is NoiseFamily.SCALED_T:
-            if self.df is None or self.df <= 2:
-                raise ValueError("scaled-t noise needs df > 2 for a finite variance")
+            if self.df is None or not 2 < self.df < math.inf:
+                raise ValueError(f"scaled-t noise needs a finite df > 2, got {self.df!r}")
             if self.skew is not None:
                 raise ValueError("scaled-t noise takes no asymmetry parameter")
         elif self.family is NoiseFamily.SKEW_T_STD:
-            if self.df is None or self.df <= 2:
-                raise ValueError("skew-t noise needs df > 2 for a finite variance")
-            if self.skew is None:
-                raise ValueError("skew-t noise needs an asymmetry parameter")
+            if self.df is None or not 2 < self.df < math.inf:
+                raise ValueError(f"skew-t noise needs a finite df > 2, got {self.df!r}")
+            if self.skew is None or not math.isfinite(self.skew):
+                raise ValueError(f"skew-t noise needs a finite skew, got {self.skew!r}")
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown noise family {self.family!r}")
 
@@ -248,30 +254,57 @@ def _resolve_rng(seed: "SeedSpec | np.random.Generator") -> np.random.Generator:
     raise TypeError("seed must be a SeedSpec or a numpy Generator")
 
 
-def sample_noise(
-    spec: NoiseSpec, count: int, seed: "SeedSpec | np.random.Generator"
-) -> np.ndarray:
-    """Draw ``count`` i.i.d. variates with mean 0 and variance as specified."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    rng = _resolve_rng(seed)
+def _draw_noise(spec: NoiseSpec, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The raw variates of ``count`` draws of ``spec`` from ``rng``, one
+    array per generator call: none for a variance of 0, which draws
+    nothing; standard normal or standard t variates; for skew-t two arrays
+    of standard normal variates and one of chi-square variates.  One
+    standard normal or standard t call of ``count`` values gives the values
+    and the final generator state of consecutive calls whose counts add up
+    to ``count``, so two specs that share that sampler may draw from one
+    call (``_one_call``)."""
+    if spec.target_variance == 0.0:
+        return []
+    if spec.family is NoiseFamily.NORMAL:
+        return [rng.standard_normal(count)]
+    if spec.family is NoiseFamily.SCALED_T:
+        return [rng.standard_t(spec.df, count)]
+    return [rng.standard_normal(count), rng.standard_normal(count), rng.chisquare(spec.df, count)]
+
+
+def _scale_noise(spec: NoiseSpec, draws: list[np.ndarray], count: int) -> np.ndarray:
+    """The ``count`` variates of ``spec`` from raw ``draws`` of
+    ``_draw_noise``, or from the draws of several calls joined array by
+    array: each value goes through the same operations either way, so it
+    has the same bits."""
     v = spec.target_variance
     if v == 0.0:
         return np.zeros(count)
     if spec.family is NoiseFamily.NORMAL:
-        return rng.standard_normal(count) * math.sqrt(v)
+        return draws[0] * math.sqrt(v)
     if spec.family is NoiseFamily.SCALED_T:
-        scale = math.sqrt(v * (spec.df - 2.0) / spec.df)
-        return rng.standard_t(spec.df, count) * scale
+        return draws[0] * math.sqrt(v * (spec.df - 2.0) / spec.df)
     # Standardized skew-t: a skew-normal numerator over an independent
     # chi-square-based denominator, then exact-moment standardization.
     mean, variance, delta = _skew_t_mean_var(spec.skew, spec.df)
-    u0 = rng.standard_normal(count)
-    u1 = rng.standard_normal(count)
+    u0, u1, chi = draws
     z = delta * np.abs(u0) + math.sqrt(1.0 - delta * delta) * u1
-    chi = rng.chisquare(spec.df, count)
     y = z / np.sqrt(chi / spec.df)
     return (y - mean) / math.sqrt(variance) * math.sqrt(v)
+
+
+def _one_call(first: NoiseSpec, second: NoiseSpec) -> bool:
+    """Whether one ``_draw_noise`` call of ``first`` can draw the variates of
+    ``first``, then those of ``second``: both draw, by one sampler."""
+    return (first.family is second.family is not NoiseFamily.SKEW_T_STD and first.df == second.df
+            and first.target_variance != 0.0 != second.target_variance)
+
+
+def sample_noise(spec: NoiseSpec, count: int, seed: "SeedSpec | np.random.Generator") -> np.ndarray:
+    """Draw ``count`` i.i.d. variates with mean 0 and variance as specified."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return _scale_noise(spec, _draw_noise(spec, count, _resolve_rng(seed)), count)
 
 
 @dataclass(frozen=True)

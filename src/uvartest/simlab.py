@@ -8,10 +8,13 @@ rate and its Monte Carlo standard error.  Replicates are drawn one by one,
 each from its own stream seeded by (seed, cell index, grid index, replicate
 index); the streams of one (cell, grid value) are seeded in one batch, with
 the values of seeding each on its own.  Replicates are evaluated in blocks
-of at most 2**16 values: one statistic-kernel call per block, for fixed and
-redrawn designs alike.
-Under PERM each replicate also draws its first stack of permuted values right
-after its errors, and the block's call evaluates that stack too.  The
+of at most 2**16 values, for fixed and redrawn designs alike.  Per replicate
+only its generator calls run: sizes when redrawn, then the raw variates of
+its group effects and errors.  Scaling them, assembling the pooled vectors
+and one statistic-kernel call run once per block, through the operations
+that assembling each replicate on its own takes, so the values are the same.
+Under PERM each replicate then draws its first stack of permuted values from
+its assembled row, and the block's call evaluates that stack too.  The
 replicate draws the rest from its stream, a stack of rows per generator
 call, but only until its decision is fixed; its rates are still those of the
 full ``n_perm`` test.  ``permutation_pvalue`` draws through the same helper.
@@ -46,8 +49,11 @@ from .randgen import (
     SeedSpec,
     ShiftedGeometric,
     UniformSizes,
+    _draw_noise,
+    _one_call,
     _resolve_rng,
-    sample_noise,
+    _scale_noise,
+    _set_integer,
 )
 
 __all__ = [
@@ -103,7 +109,7 @@ class ScenarioSpec:
         if not self.design_gens:
             raise ValueError("at least one design generator is required")
         _check_alpha(self.alpha)
-        if self.replicates < 1:
+        if _set_integer(self, "replicates") < 1:
             raise ValueError("replicates must be at least 1")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
@@ -118,7 +124,7 @@ class ScenarioSpec:
                 raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError("methods must not repeat")
-        if "PERM" in self.methods and self.n_perm < 1:
+        if _set_integer(self, "n_perm") < 1 and "PERM" in self.methods:
             raise ValueError("n_perm must be at least 1")
 
 
@@ -376,28 +382,72 @@ def permutation_pvalue(
 
 
 def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, head, *path: int):
-    """Replicates (group sizes, rows, stream) of one (cell, grid value) in
-    blocks of at most ``_CHUNK_VALUES`` values or one replicate.  The
-    streams (*path, r) of all replicates r are seeded in one batch by
-    ``SeedSpec.generators``, with the values of seeding each on its own, and
-    built as the loop reaches them.  Stream (*path, r) draws sizes (unless
-    fixed), b, e, then, when ``head`` is not 0, the first stack of
-    ``_permuted_stacks`` over ``head`` permutations of the pooled vector:
-    min(``head``, ``_CHUNK_VALUES`` // n) rows, or one when n is larger.  A
-    replicate is (sizes, pooled vector, that stack or () without a head,
-    stream); the block cut counts the rows of both.  PERM draws on."""
+    """Replicates of one (cell, grid value) in blocks of ``_cuts``, each
+    evaluated by one kernel call.  The streams (*path, r) of all replicates
+    r are seeded in one batch by ``SeedSpec.generators``, with the values of
+    seeding each on its own, and built as the blocks reach them.  Stream
+    (*path, r) draws sizes (unless fixed), then the raw variates of b and of
+    e (``_draw_noise``), in one call when one sampler draws both
+    (``_one_call``); only these generator calls run per replicate.  Scaling
+    the variates, adding mu and the repeated b, and the kernel run once per
+    block: on a (B, n) array for a fixed design, on the rows back to back
+    for redrawn ones, through the same operations on every value as one
+    replicate at a time.  With a ``head``, each stream then draws the first
+    stack of ``_permuted_stacks`` over ``head`` permutations of its pooled
+    vector, min(``head``, ``_CHUNK_VALUES`` // n) rows or one when n is
+    larger, evaluated below the replicate's row.  Yields (sizes, kernel
+    output, the replicates' own rows of it, and per replicate (sizes,
+    pooled vector, head rows, stream) with a head or () without).  PERM
+    draws on."""
+    e_spec, k, merged = spec.e_spec, gen.k, _one_call(b_spec, spec.e_spec)
+    for block in _cuts(spec.seed.generators(*path, count=spec.replicates), gen, fixed_sizes, head):
+        if merged and fixed_sizes is not None:  # one (B, k + n) array: each row's b, then its e
+            x = np.concatenate([_draw_noise(b_spec, k + n, rng)[0] for _, n, _, rng in block])
+            x = x.reshape(len(block), -1)
+            b_draws, e_draws = [x[:, :k]], [x[:, k:]]
+        elif merged:  # a replicate's one array holds its b, then its e
+            xs = [_draw_noise(b_spec, k + n, rng)[0] for _, n, _, rng in block]
+            b_draws, e_draws = [np.concatenate([x[:k] for x in xs])], [np.concatenate([x[k:] for x in xs])]
+        else:  # a replicate's arrays of b, then its arrays of e
+            draws = [(_draw_noise(b_spec, k, rng), _draw_noise(e_spec, n, rng)) for _, n, _, rng in block]
+            b_draws, e_draws = ([np.concatenate(a) for a in zip(*parts)] for parts in zip(*draws))
+        b = _scale_noise(b_spec, b_draws, len(block) * k)
+        if fixed_sizes is None:
+            sizes = np.array([s for s, *_ in block])
+            y = spec.mu + np.repeat(b, sizes.ravel())
+        else:  # one row of sizes serves every row of a fixed design
+            sizes = fixed_sizes[None]
+            y = spec.mu + np.repeat(b.reshape(-1, k), fixed_sizes, axis=1).ravel()
+        y += _scale_noise(e_spec, e_draws, y.size).ravel()
+        if not head:
+            yield sizes, _statistics(y, sizes), slice(None), ()
+            continue
+        # each replicate's row, then its first permutations, copied once
+        ends = itertools.accumulate(n for _, n, _, _ in block)
+        heads = [(s, y[end - n:end], rows, rng) for (s, n, rows, rng), end in zip(block, ends)]
+        values = np.concatenate([a for _, row, rows, rng in heads
+                                 for a in (row, next(_permuted_stacks(rng, row, rows)))], axis=None)
+        heights = np.array([1 + rows for _, _, rows, _ in block])
+        st = _statistics(values, sizes if len(sizes) == 1 else sizes.repeat(heights, axis=0))
+        yield sizes, st, heights.cumsum() - heights, heads
+
+
+def _cuts(streams, gen: DesignGen, fixed_sizes, head):
+    """The replicates (sizes, n, head rows, stream) of ``streams`` in blocks
+    of at most ``_CHUNK_VALUES`` values, n for the replicate's row and n
+    per head row, or of one replicate.  Redrawn sizes are drawn first on
+    each stream."""
+    fixed_n = None if fixed_sizes is None else sum(fixed_sizes.tolist())
     block, used = [], 0
-    for rng in spec.seed.generators(*path, count=spec.replicates):
-        sizes = gen.sizes(rng) if fixed_sizes is None else fixed_sizes
-        b = sample_noise(b_spec, gen.k, rng)
-        y = spec.mu + np.repeat(b, sizes)
-        y += sample_noise(spec.e_spec, y.size, rng)
-        drawn = next(_permuted_stacks(rng, y, head)) if head else ()
-        if block and used + y.size * (1 + len(drawn)) > _CHUNK_VALUES:
+    for rng in streams:
+        sizes = fixed_sizes if fixed_n else gen.sizes(rng)
+        n = fixed_n or sum(sizes.tolist())
+        rows = head and min(head, max(1, _CHUNK_VALUES // n))  # of the head's first stack
+        if block and used + n * (1 + rows) > _CHUNK_VALUES:
             yield block
             block, used = [], 0
-        block.append((sizes, y, drawn, rng))
-        used += y.size * (1 + len(drawn))
+        block.append((sizes, n, rows, rng))
+        used += n * (1 + rows)
     yield block
 
 
@@ -415,15 +465,17 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
 
     Replicates are drawn one by one, each from its own derived stream, and
     stacked into blocks of at most 2**16 values, whether the design is
-    fixed or redrawn per replicate.  Each block takes one statistic-kernel
-    call.  U, F and the degenerate count read each replicate's own row of
-    it.  U and F compare that row's statistic with a cached critical
-    value, the smallest double whose tail is at most alpha
-    (``core._critical``: the normal tail for U, the F tail of the row's
-    degrees of freedom for F), so they reject exactly where ``u_test`` and
-    ``f_test`` would.  PERM's threshold is ``stop``, the largest count that
-    rejects.  Each replicate draws its first permutations right after its
-    errors and they are stacked below its row in the block (``_blocks``),
+    fixed or redrawn per replicate; ``_blocks`` assembles each block at
+    once from its replicates' raw draws.  Each block takes one
+    statistic-kernel call.  U, F and the degenerate count read each
+    replicate's own row of it.  U and F compare that row's statistic with
+    a cached critical value, the smallest double whose tail is at most
+    alpha (``core._critical``: the normal tail for U, the F tail of the
+    row's degrees of freedom for F), so they reject exactly where
+    ``u_test`` and ``f_test`` would.  PERM's threshold is ``stop``, the
+    largest count that rejects.  Each replicate draws its first
+    permutations of its assembled row right after its errors, and they
+    are stacked below its row in the block (``_blocks``),
     so PERM counts their exceedances from the same call; the replicate
     then draws the rest of its ``n_perm`` permutations from its stream in
     stacks, as ``permutation_pvalue`` does and counted as it counts them
@@ -457,26 +509,17 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
             degenerate = 0
-            for block in _blocks(spec, gen, b_spec, fixed_sizes, head, cell_index, grid_index):
-                # one row of sizes serves every row of a fixed design
-                sizes = np.array([s for s, _, _, _ in block]) if redraw else fixed_sizes[None]
-                own = slice(None)  # the replicates' own rows of the kernel output
-                if head:  # each replicate's row, then its first permutations, copied once
-                    values = np.concatenate([a for _, *rows, _ in block for a in rows], axis=None)
-                    heights = np.array([1 + len(drawn) for _, _, drawn, _ in block])
-                    own = heights.cumsum() - heights
-                    st = _statistics(values, sizes if len(sizes) == 1 else sizes.repeat(heights, axis=0))
-                else:
-                    st = _statistics(np.concatenate([y for _, y, _, _ in block]), sizes)
+            for sizes, st, own, heads in _blocks(spec, gen, b_spec, fixed_sizes, head,
+                                                 cell_index, grid_index):
                 degenerate += int(np.count_nonzero(st.degenerate[own]))
                 for method in spec.methods:
                     if method != "PERM":
                         rejections[method] += _rejections(method, st, sizes, spec.alpha, own)
                     elif head:  # else stop < 0: no count rejects
-                        for (s, y, drawn, rng), i in zip(block, own.tolist()):
+                        for (s, y, rows, rng), i in zip(heads, own.tolist()):
                             if not st.degenerate[i]:
-                                first = slice(i + 1, i + 1 + len(drawn))
-                                rest = _permuted_stacks(rng, y, spec.n_perm - len(drawn))
+                                first = slice(i + 1, i + 1 + rows)
+                                rest = _permuted_stacks(rng, y, spec.n_perm - rows)
                                 outputs = itertools.chain([(st.j[first], st.degenerate[first])],
                                                           _screened_statistics(rest, s[None], y, st.j[i]))
                                 rejections[method] += _exceedances(outputs, st.j[i], stop) <= stop

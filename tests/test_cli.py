@@ -579,6 +579,25 @@ class TestCmdSimulate:
         assert err.startswith(f"error: invalid scenario config {path}: {entry}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        ("entry", "noise", "name"),
+        [
+            ("e", {"family": "scaled_t", "df": math.inf}, "df"),
+            ("b", {"family": "skew_t_std", "df": math.nan, "skew": 1.0}, "df"),
+            ("e", {"family": "skew_t_std", "df": 4.1, "skew": -math.inf}, "skew"),
+        ],
+        ids=["df-infinite", "df-nan", "skew-infinite"],
+    )
+    def test_non_finite_shape_is_named(self, entry, noise, name, tmp_path, capsys):
+        """JSON's Infinity and NaN are refused where they are read, not
+        reported later as non-finite observations."""
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, entry: noise}))
+        code, out, err = _run(capsys, "simulate", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith(f"error: invalid scenario config {path}: {entry}: ")
+        assert f"needs a finite {name}" in err
+
     def test_missing_design_field_is_named(self, tmp_path, capsys):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3}]}))

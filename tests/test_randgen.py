@@ -123,6 +123,19 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(NoiseFamily.NORMAL, -0.5)
 
+    @pytest.mark.parametrize("df", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("family", [NoiseFamily.SCALED_T, NoiseFamily.SKEW_T_STD])
+    def test_df_must_be_finite(self, family, df):
+        # an infinite or NaN df would make sample_noise return NaN
+        skew = 1.0 if family is NoiseFamily.SKEW_T_STD else None
+        with pytest.raises(ValueError, match="needs a finite df > 2"):
+            NoiseSpec(family, 1.0, df=df, skew=skew)
+
+    @pytest.mark.parametrize("skew", [math.inf, -math.inf, math.nan])
+    def test_skew_must_be_finite(self, skew):
+        with pytest.raises(ValueError, match="needs a finite skew"):
+            NoiseSpec(NoiseFamily.SKEW_T_STD, 1.0, df=4.1, skew=skew)
+
     def test_with_variance(self):
         spec = NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=3.0)
         assert spec.with_variance(0.2).target_variance == 0.2

@@ -24,6 +24,7 @@ from uvartest.randgen import (
     SeedSpec,
     ShiftedGeometric,
     UniformSizes,
+    sample_noise,
 )
 from uvartest.simlab import (
     PRESET_NAMES,
@@ -46,6 +47,14 @@ from oracles import exact_permutation_pvalue, reference_run_scenario
 
 _NORMAL = NoiseSpec(NoiseFamily.NORMAL, 1.0)
 _T41 = NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=4.1)
+_T3 = NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=3.0)
+_T5 = NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=5.0)
+_SKEW = NoiseSpec(NoiseFamily.SKEW_T_STD, 1.0, df=4.1, skew=1.0)
+# fixed designs with one group-size draw, or sizes redrawn per replicate
+_FAMILY_DESIGNS = dict(design_gens=(Balanced(5, 3), ShiftedGeometric(4, 0.3)), replicates=80)
+_FAMILY_REDRAWN = dict(design_gens=(ShiftedGeometric(5, 0.3), UniformSizes(4, 2, 6)),
+                       redraw_design_per_replicate=True, methods=("U", "F", "PERM"), n_perm=39,
+                       replicates=60)
 
 
 def _tiny_scenario(**overrides) -> ScenarioSpec:
@@ -102,6 +111,19 @@ class TestScenarioValidation:
     def test_replicates(self):
         with pytest.raises(ValueError):
             _tiny_scenario(replicates=0)
+
+    @pytest.mark.parametrize("value", [True, False, 3.0, 19.5, "7", None, np.float64(3.0), np.True_])
+    @pytest.mark.parametrize("name", ["replicates", "n_perm"])
+    def test_counts_must_be_integers(self, name, value):
+        # a bool would be written as True in the CSV; a float would fail deep in the run
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            _tiny_scenario(**{name: value})
+
+    def test_numpy_integer_counts_become_int(self):
+        spec = _tiny_scenario(replicates=np.int64(20), n_perm=np.uint16(19), methods=("U", "PERM"))
+        assert type(spec.replicates) is int and type(spec.n_perm) is int
+        plain = _tiny_scenario(replicates=20, n_perm=19, methods=("U", "PERM"))
+        assert run_scenario(spec).to_csv_string() == run_scenario(plain).to_csv_string()
 
 
 class TestRunScenario:
@@ -354,6 +376,15 @@ class TestBatchedEngine:
                 n_perm=19,
                 replicates=100,
             ),
+            # family pairings whose b and e take separate generator calls
+            dict(b_spec=_SKEW, e_spec=_SKEW, **_FAMILY_DESIGNS),
+            dict(b_spec=_SKEW, e_spec=_SKEW, **_FAMILY_REDRAWN),
+            dict(b_spec=_T3, e_spec=_NORMAL, **_FAMILY_DESIGNS),
+            dict(b_spec=_T3, e_spec=_NORMAL, **_FAMILY_REDRAWN),
+            dict(b_spec=_T3, e_spec=_T5, **_FAMILY_DESIGNS),
+            dict(b_spec=_T3, e_spec=_T5, **_FAMILY_REDRAWN),
+            dict(b_spec=_NORMAL, e_spec=_SKEW, **_FAMILY_DESIGNS),
+            dict(b_spec=_NORMAL, e_spec=_SKEW, **_FAMILY_REDRAWN),
         ],
         ids=[
             "fixed-several-blocks",
@@ -372,6 +403,14 @@ class TestBatchedEngine:
             "perm-null-stops-early",
             "perm-alpha-0.01",
             "alpha-above-half",
+            "skew-t-skew-t-fixed",
+            "skew-t-skew-t-redrawn-perm",
+            "t3-normal-fixed",
+            "t3-normal-redrawn-perm",
+            "t3-t5-fixed",
+            "t3-t5-redrawn-perm",
+            "normal-skew-t-fixed",
+            "normal-skew-t-redrawn-perm",
         ],
     )
     def test_matches_per_replicate_reference(self, overrides):
@@ -380,6 +419,67 @@ class TestBatchedEngine:
         cells, degenerate = reference_run_scenario(spec)
         assert table.cells == cells
         assert dict(table.degenerate) == degenerate
+
+    @pytest.mark.parametrize("head", [False, True], ids=["no-head", "head"])
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
+    @pytest.mark.parametrize(
+        "b_spec, e_spec",
+        [
+            (_NORMAL, _NORMAL),
+            (_T41, _T41),
+            (_T3, _NORMAL),
+            (_T3, _T5),
+            (_NORMAL, _SKEW),
+            (_SKEW, _SKEW),
+            (_T41, NoiseSpec(NoiseFamily.SCALED_T, 0.0, df=4.1)),
+        ],
+        ids=["normal-normal", "t41-t41", "t3-normal", "t3-t5", "normal-skew-t", "skew-t-skew-t",
+             "t41-zero-errors"],
+    )
+    def test_kernel_input_of_one_replicate_at_a_time(self, b_spec, e_spec, redraw, head, monkeypatch):
+        """Every value the blocks hand the kernel, bit for bit: each
+        replicate's row mu + repeat(b, sizes) + e, with b and e from
+        ``sample_noise`` on the replicate's own stream, then its head stack
+        from ``_permuted_stacks`` on that stream.  Rates could hide a
+        last-bit difference; these bytes cannot."""
+        spec = _tiny_scenario(
+            # n = 900..1500 in the last cell: several blocks
+            design_gens=(UniformSizes(4, 2, 6), UniformSizes(30, 30, 50)),
+            redraw_design_per_replicate=redraw,
+            b_spec=b_spec,
+            e_spec=e_spec,
+            sigma_b2_grid=(0.0, 0.7),
+            methods=("U", "PERM") if head else ("U",),
+            n_perm=39,
+            replicates=70,
+        )
+        stop = _perm_stop(spec.alpha, spec.n_perm) if head else -1
+        head_rows = min(3 * (stop + 1), spec.n_perm)
+        seen = []
+
+        def recorded(values, sizes):
+            seen.append(values.copy())
+            return _statistics(values, sizes)
+
+        monkeypatch.setattr(simlab, "_statistics", recorded)
+        for cell, gen in enumerate(spec.design_gens):
+            fixed = None if redraw else gen.sizes(spec.seed.generator(cell))
+            for grid, sigma_b2 in enumerate(spec.sigma_b2_grid):
+                b_grid = b_spec.with_variance(sigma_b2)
+                seen.clear()
+                blocks = list(simlab._blocks(spec, gen, b_grid, fixed, head_rows, cell, grid))
+                expected = []
+                for r in range(spec.replicates):
+                    rng = spec.seed.generator(cell, grid, r)
+                    sizes = gen.sizes(rng) if fixed is None else fixed
+                    y = (spec.mu + np.repeat(sample_noise(b_grid, gen.k, rng), sizes)
+                         + sample_noise(e_spec, int(sizes.sum()), rng))
+                    expected.append(y)
+                    if head_rows:
+                        expected.append(next(_permuted_stacks(rng, y, head_rows)).ravel())
+                assert len(seen) == len(blocks)
+                assert np.concatenate(seen).tobytes() == np.concatenate(expected).tobytes()
+        assert len(blocks) > 1
 
 
 class TestGoldenTables:
