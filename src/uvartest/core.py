@@ -643,9 +643,12 @@ def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float, rows=s
     of threshold, ``stop`` in ``simlab.run_scenario``."""
     stat, crit = st.j, _critical(alpha)
     if method == "F":
-        k = sizes.shape[-1]
-        d2, row_d2 = np.unique(sizes.sum(axis=-1) - k, return_inverse=True)
-        stat, crit = st.f, np.array([_critical(alpha, k - 1.0, v) for v in d2.tolist()])[row_d2]
+        k, stat = sizes.shape[-1], st.f
+        if len(sizes) == 1:
+            crit = _critical(alpha, k - 1.0, int(sizes.sum()) - k)
+        else:
+            d2, row_d2 = np.unique(sizes.sum(axis=-1) - k, return_inverse=True)
+            crit = np.array([_critical(alpha, k - 1.0, v) for v in d2.tolist()])[row_d2]
     return int(np.count_nonzero(~st.degenerate[rows] & (stat[rows] >= crit)))
 
 

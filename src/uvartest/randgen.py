@@ -6,8 +6,9 @@ generators (balanced, shifted geometric, uniform over a size range).
 Streams are derived from a (master seed, stream id) pair plus an optional
 integer path, so independent substreams can be spawned per scenario, grid
 point and replicate without any shared state.  ``SeedSpec.generators``
-seeds the streams of consecutive replicate indices in one batch, with the
-values that seeding each on its own gives.  Noise is drawn in two steps,
+seeds the streams of consecutive replicate indices in one batch, hashing
+their state words in numpy array arithmetic, with the values that seeding
+each on its own gives.  Noise is drawn in two steps,
 raw variates from the generator, then scaled to the family and variance;
 ``sample_noise`` runs both for one array, and the simulation engine scales
 the raw variates of a whole block of replicates at once.
@@ -15,6 +16,8 @@ the raw variates of a whole block of replicates at once.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -43,28 +46,38 @@ __all__ = [
 _UINT64_MAX = 2**64 - 1
 _MASK32 = 0xFFFFFFFF
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+# Those that meet arrays are uint32 arrays: uint32 array arithmetic wraps
+# modulo 2**32 without a warning and keeps its dtype under every promotion
+# rule numpy has had since 1.24.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MULT_A_POWERS = np.array([[pow(_MULT_A, i, 2**32)] for i in range(5)], np.uint32)
+_MIX_L, _MIX_R = np.array([[[0xCA01F9DD]], [[0x4973F715]]], np.uint32)
 # generate_state(4, uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3 into
 # 32-bit words 0..7: word i is xor-ed with INIT_B MULT_B**i, then multiplied
 # by INIT_B MULT_B**(i+1).
-_STATE_STEPS = tuple(
-    (_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32, _INIT_B * pow(_MULT_B, i + 1, 2**32) & _MASK32)
-    for i in range(8)
+_STATE_XOR, _STATE_MUL = np.array(
+    [[[_INIT_B * pow(_MULT_B, i + j, 2**32) & _MASK32] for i in range(8)] for j in (0, 1)], np.uint32
 )
+# Replicate indices hashed together, at most.
+_CHUNK = 1024
 # From this many streams on, seeding them together costs less than one by one
-# (on a 2-core x86_64 VM, 2 streams took 28 against 30 us, 4 took 42 against 61).
-_BATCH_MIN = 2
+# (on a 2-core x86_64 VM, 2 streams took 36 against 33 us, 3 took 36 against
+# 47, 4 took 37 against 65).
+_BATCH_MIN = 3
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` (numpy integers are taken); a float, a string
+    or a bool raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _set_integer(obj, name: str) -> int:
     """Field ``name`` of the frozen dataclass ``obj``, set to its value as an
-    ``int`` (numpy integers are taken); a float, a string or a bool raises
-    TypeError."""
-    value = getattr(obj, name)
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(obj, name, operator.index(value))
+    ``int`` by :func:`_integer`."""
+    object.__setattr__(obj, name, _integer(getattr(obj, name), name))
     return getattr(obj, name)
 
 
@@ -73,21 +86,32 @@ def _word_count(value: int) -> int:
     return max(1, -(-operator.index(value).bit_length() // 32))
 
 
-class _Words:
-    """Seed material that hands PCG64 its four state words, computed in
-    advance by ``SeedSpec.generators``; it cannot spawn.  It is registered
-    as a numpy ``ISeedSequence`` when first used, so that importing this
-    module does not import ``numpy.random``."""
+@functools.cache
+def _words_type() -> type:
+    """``_Words``, built on first use so that importing this module does not
+    import ``numpy.random``."""
 
-    __slots__ = ("row",)
+    class _Words(np.random.bit_generator.ISeedSequence):
+        """Seed material that hands PCG64 its four state words, computed in
+        advance by ``SeedSpec.generators``; it cannot spawn."""
 
-    def __init__(self, row: np.ndarray) -> None:
-        self.row = row
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("holds the four uint64 words of one PCG64 seeding only")
-        return self.row
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds the four uint64 words of one PCG64 seeding only")
+            return self.row
+
+    _Words.__qualname__ = "_Words"
+    return _Words
+
+
+def __getattr__(name: str):
+    # pickle finds the seed material of a batched stream by its name
+    if name == "_Words":
+        return _words_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,43 +141,49 @@ class SeedSpec:
 
     def generators(self, *path: int, count: int) -> Iterator[np.random.Generator]:
         """The generators ``self.generator(*path, r)`` for r in 0..count - 1,
-        built one at a time as they are asked for, equal to those in every
-        draw and state.  From ``_BATCH_MIN`` streams on they share the seed
-        material of ``path``, and their ``bit_generator.seed_seq`` holds only
-        their state words: it cannot spawn.
+        equal to those in every draw and state.  ``count`` is an integer
+        (numpy integers are taken; a float or a bool raises TypeError), and
+        a negative one raises ValueError.  From ``_BATCH_MIN`` streams on
+        they share the seed material of ``path``, and their
+        ``bit_generator.seed_seq`` holds only their state words: it cannot
+        spawn.
 
         SeedSequence mixes its entropy words (the master seed padded to 4
         words, then the stream id and the path, then r) into a pool of 4
         words, and a word past the fourth takes 4 hash steps of a fixed
         sequence, one per pool word, whatever the data.  So r's pool is the
         pool of ``path`` mixed with r at the 4 steps after the path's words,
-        and its state words follow from that pool alone.  Indices from 2**32
-        on take two words and are seeded one by one."""
+        and its state words follow from that pool alone.  They are hashed in
+        uint32 array arithmetic for up to ``_CHUNK`` indices at once, and
+        the generators are built one at a time as they are asked for.
+        Indices from 2**32 on take two words and are seeded one by one."""
+        if (count := _integer(count, "count")) < 0:
+            raise ValueError("count must be nonnegative")
         batched = min(count, 2**32) if count >= _BATCH_MIN else 0
-        if batched:
-            np.random.bit_generator.ISeedSequence.register(_Words)  # a no-op once registered
-            pool = self.seed_sequence(*path).pool.tolist()
-            # hash steps before r's: 4 to fill the pool, 12 to cross-mix it,
-            # 4 for each word past the fourth (a master seed takes at most 2)
-            words = 4 + _word_count(self.stream_id) + sum(map(_word_count, path))
-            steps = [_INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 2**32) & _MASK32]
-            for _ in range(4):
-                steps.append(steps[-1] * _MULT_A & _MASK32)
-            mixing = tuple(zip(pool, steps, steps[1:]))
-            for r in range(batched):
-                mixed = []
-                for word, xor, mul in mixing:  # hash r, then mix it into the word
-                    h = (r ^ xor) * mul & _MASK32
-                    h = _MIX_MULT_L * word - _MIX_MULT_R * (h ^ h >> 16) & _MASK32
-                    mixed.append(h ^ h >> 16)
-                state = []
-                for i, (xor, mul) in enumerate(_STATE_STEPS):
-                    h = (mixed[i & 3] ^ xor) * mul & _MASK32
-                    state.append(h ^ h >> 16)
-                row = [lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])]
-                yield np.random.Generator(np.random.PCG64(_Words(np.array(row, np.uint64))))
-        for r in range(batched, count):
-            yield self.generator(*path, r)
+        rest = (self.generator(*path, r) for r in range(batched, count))
+        return itertools.chain(self._batch(path, batched), rest) if batched else rest
+
+    def _batch(self, path: tuple[int, ...], count: int) -> Iterator[np.random.Generator]:
+        """The streams of ``generators`` for indices 0..count - 1 < 2**32."""
+        words_type = _words_type()
+        pool = self.seed_sequence(*path).pool[:, None]
+        # r is entropy word w (a master seed takes at most 2 of the first 4),
+        # and 4 w hash steps come before its 4: 4 to fill the pool, 12 to
+        # cross-mix it, 4 for each word past the fourth.  Pool word i mixes
+        # in r xor-ed with step 4 w + i, times step 4 w + i + 1.
+        w = 4 + _word_count(self.stream_id) + sum(map(_word_count, path))
+        steps = _MULT_A_POWERS * np.uint32(_INIT_A * pow(_MULT_A, 4 * w, 2**32) & _MASK32)
+        for start in range(0, count, _CHUNK):
+            r = np.arange(start, min(start + _CHUNK, count), dtype=np.uint32)
+            h = (r ^ steps[:4]) * steps[1:]  # hash r, then mix it into the pool
+            h ^= h >> 16
+            mixed = _MIX_L * pool - _MIX_R * h
+            mixed ^= mixed >> 16
+            state = (np.concatenate((mixed, mixed)) ^ _STATE_XOR) * _STATE_MUL
+            state ^= state >> 16
+            rows = state[1::2].astype(np.uint64) << 32 | state[0::2]
+            for row in rows.T.copy():
+                yield np.random.Generator(np.random.PCG64(words_type(row)))
 
 
 class NoiseFamily(str, Enum):

@@ -106,6 +106,9 @@ class ScenarioSpec:
     n_perm: int = 199
 
     def __post_init__(self) -> None:
+        for name, kind in (("seed", SeedSpec), ("b_spec", NoiseSpec), ("e_spec", NoiseSpec)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
         if not self.design_gens:
             raise ValueError("at least one design generator is required")
         _check_alpha(self.alpha)

@@ -41,3 +41,18 @@ def test_tests_and_simulations_leave_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # a batched stream's seed material is built on first use
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import uvartest\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.split()[0] == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert proc.stdout.strip() == "False False"

@@ -1,6 +1,9 @@
 """Tests for seeded noise generation, skew-t moments and design generators."""
 
 import math
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,18 +76,55 @@ class TestSeedSpec:
     @example(2**32 - 1, 2**32, [2**64 - 1], _BATCH_MIN)
     @example(2**32, 2**32 - 1, [], _BATCH_MIN + 1)
     @example(2**64 - 1, 2**64 - 1, [2**32, 0, 2**96], _BATCH_MIN + 4)
+    @example(5, 2, [1, 0], _BATCH_MIN - 1)
+    @example(2**63, 0, [7], _BATCH_MIN)
+    @example(12345, 3, [4, 1], 1030)  # crosses the first chunk of hashed indices
     def test_generators_match_per_replicate_streams(self, master, stream, path, count):
         """Batched streams equal per-replicate ones, in state before and
-        after draws, on both sides of the fallback cut."""
+        after draws, on both sides of the fallback cut and of a chunk."""
         seed = SeedSpec(master, stream)
         batch = list(seed.generators(*path, count=count))
         assert len(batch) == count
-        for r, rng in enumerate(batch):
-            reference = seed.generator(*path, r)
+        checked = range(count) if count <= _BATCH_MIN + 4 else (0, 1023, 1024, count - 1)
+        for r in checked:
+            rng, reference = batch[r], seed.generator(*path, r)
             assert rng.bit_generator.state == reference.bit_generator.state
             assert rng.integers(0, 2**63, 3).tolist() == reference.integers(0, 2**63, 3).tolist()
             assert rng.standard_normal(2).tobytes() == reference.standard_normal(2).tobytes()
             assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("count", [2.0, 3.5, True, "3", None])
+    def test_generators_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            SeedSpec(1).generators(count=count)
+
+    def test_generators_count_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            SeedSpec(1).generators(count=-1)
+
+    def test_generators_take_numpy_integer_counts(self):
+        batch = list(SeedSpec(1).generators(2, count=np.int64(_BATCH_MIN + 1)))
+        assert len(batch) == _BATCH_MIN + 1
+        assert batch[-1].bit_generator.state == SeedSpec(1).generator(2, _BATCH_MIN).bit_generator.state
+
+    def test_batched_stream_pickles(self):
+        """A batched stream, unpickled in a fresh process, draws what
+        ``generator``'s stream draws and ends in the same state."""
+        rng = list(SeedSpec(9, 4).generators(1, 2, count=_BATCH_MIN + 1))[-1]
+        rng.standard_normal(3)
+        code = (
+            "import pickle, sys\n"
+            "rng = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(rng.standard_normal(4).tobytes().hex())\n"
+            "print(rng.bit_generator.state)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(rng),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        reference = SeedSpec(9, 4).generator(1, 2, _BATCH_MIN)
+        reference.standard_normal(3)
+        draws = reference.standard_normal(4).tobytes().hex()
+        assert proc.stdout.decode().split("\n")[:2] == [draws, str(reference.bit_generator.state)]
 
     def test_batched_streams_cannot_spawn(self):
         rng = next(SeedSpec(1).generators(count=_BATCH_MIN))

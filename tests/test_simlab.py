@@ -119,6 +119,16 @@ class TestScenarioValidation:
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             _tiny_scenario(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", 3), ("seed", np.random.default_rng(3)), ("b_spec", "normal"), ("e_spec", None),
+         ("e_spec", NoiseFamily.NORMAL)],
+    )
+    def test_seed_and_noise_specs_must_have_their_types(self, name, value):
+        # each would otherwise fail deep in run_scenario with an AttributeError
+        with pytest.raises(TypeError, match=f"{name} must be a "):
+            _tiny_scenario(**{name: value})
+
     def test_numpy_integer_counts_become_int(self):
         spec = _tiny_scenario(replicates=np.int64(20), n_perm=np.uint16(19), methods=("U", "PERM"))
         assert type(spec.replicates) is int and type(spec.n_perm) is int
