@@ -633,14 +633,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in (0, 1)")
 
 
-def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float, rows=slice(None)) -> int:
-    """Number of the kernel output's ``rows``, each with one row of group
-    sizes in ``sizes`` or all with its one row, that the U-test ("U") or
+def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float) -> int:
+    """Number of the kernel output's rows, each with one row of group sizes
+    in ``sizes`` or all with its one row, that the U-test ("U") or
     F-test ("F") rejects at level ``alpha``: the non-degenerate rows whose
     statistic reaches the method's critical value (:func:`_critical`), one
     for U and one per distinct n - k for F.  Only the statistic and the
-    degeneracy flag of those rows are read.  PERM decides by the same kind
-    of threshold, ``stop`` in ``simlab.run_scenario``."""
+    degeneracy flag are read.  PERM decides by the same kind of threshold,
+    ``stop`` in ``simlab.run_scenario``."""
     stat, crit = st.j, _critical(alpha)
     if method == "F":
         k, stat = sizes.shape[-1], st.f
@@ -649,7 +649,7 @@ def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float, rows=s
         else:
             d2, row_d2 = np.unique(sizes.sum(axis=-1) - k, return_inverse=True)
             crit = np.array([_critical(alpha, k - 1.0, v) for v in d2.tolist()])[row_d2]
-    return int(np.count_nonzero(~st.degenerate[rows] & (stat[rows] >= crit)))
+    return int(np.count_nonzero(~st.degenerate & (stat >= crit)))
 
 
 def _test_results(dataset: Dataset, alpha: float, methods: str) -> list[TestResult]:

@@ -13,15 +13,14 @@ only its generator calls run: sizes when redrawn, then the raw variates of
 its group effects and errors.  Scaling them, assembling the pooled vectors
 and one statistic-kernel call run once per block, through the operations
 that assembling each replicate on its own takes, so the values are the same.
-Under PERM each replicate then draws its first stack of permuted values from
-its assembled row, and the block's call evaluates that stack too.  The
-replicate draws the rest from its stream, a stack of rows per generator
-call, but only until its decision is fixed; its rates are still those of the
-full ``n_perm`` test.  ``permutation_pvalue`` draws through the same helper.
-On a balanced design those later stacks are counted from each row's k group
-sums, a screen that calls the kernel only for rows too close to the threshold
-(or to degeneracy) to decide with certainty.  Every run of a scenario gives
-bit-identical results.
+Under PERM each replicate then draws permutations of its assembled row from
+its stream, a stack of rows per generator call, but only until its decision
+is fixed; its rates are still those of the full ``n_perm`` test.  The block's
+kernel call evaluates no permuted row.  ``permutation_pvalue`` draws and
+counts through the same helpers.  On a balanced design every stack is
+counted from each row's k group sums, a screen that calls the kernel only
+for rows too close to the threshold (or to degeneracy) to decide with
+certainty.  Every run of a scenario gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .randgen import (
     ShiftedGeometric,
     UniformSizes,
     _draw_noise,
+    _integer,
     _one_call,
     _resolve_rng,
     _scale_noise,
@@ -335,15 +335,16 @@ def permutation_pvalue(
     sizes; the p-value is (1 + #{permuted statistic >= observed}) divided
     by (number of permutations + 1).  With ``exhaustive=True`` every
     distinct assignment is enumerated instead (the observed one included)
-    and ``n_perm``/``seed`` are ignored.  A permuted statistic within a
-    relative 1e-9 of the observed one counts as a tie, and so as an
-    exceedance: equivalent assignments (within-group reorders, relabelled
-    equal-size groups) give the same statistic in exact arithmetic but not
-    always in floating point.  Permutations with degenerate within-group
-    variance never count as exceedances.  Random permutations are drawn as
-    stacks of permuted values, one generator call per stack of at most
-    2**16 values, with the rows and the final generator state of one
-    ``rng.permutation`` call per permutation.  On a balanced design a
+    and ``n_perm``/``seed`` are ignored; otherwise ``n_perm`` must be an
+    integer of at least 1 (TypeError for a bool or a float).  A permuted
+    statistic within a relative 1e-9 of the observed one counts as a tie,
+    and so as an exceedance: equivalent assignments (within-group
+    reorders, relabelled equal-size groups) give the same statistic in
+    exact arithmetic but not always in floating point.  Permutations with
+    degenerate within-group variance never count as exceedances.  Random
+    permutations are drawn as stacks of permuted values, one generator call
+    per stack of at most 2**16 values, with the rows and the final
+    generator state of one ``rng.permutation`` call per permutation.  On a balanced design a
     permutation's statistic grows with the spread of its k group sums
     alone, so each stack is counted from those sums; only rows within a
     rounding-error bound of the threshold, or near degeneracy, are
@@ -365,7 +366,7 @@ def permutation_pvalue(
         stacks = (values[np.array(chunk)] for chunk in chunks)
         n_perm = total
     else:
-        if n_perm is None or n_perm < 1:
+        if n_perm is None or (n_perm := _integer(n_perm, "n_perm")) < 1:
             raise ValueError("n_perm must be at least 1")
         if seed is None:
             raise ValueError("a seed is required for random permutations")
@@ -384,7 +385,7 @@ def permutation_pvalue(
     )
 
 
-def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, head, *path: int):
+def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, *path: int):
     """Replicates of one (cell, grid value) in blocks of ``_cuts``, each
     evaluated by one kernel call.  The streams (*path, r) of all replicates
     r are seeded in one batch by ``SeedSpec.generators``, with the values of
@@ -395,24 +396,20 @@ def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, 
     the variates, adding mu and the repeated b, and the kernel run once per
     block: on a (B, n) array for a fixed design, on the rows back to back
     for redrawn ones, through the same operations on every value as one
-    replicate at a time.  With a ``head``, each stream then draws the first
-    stack of ``_permuted_stacks`` over ``head`` permutations of its pooled
-    vector, min(``head``, ``_CHUNK_VALUES`` // n) rows or one when n is
-    larger, evaluated below the replicate's row.  Yields (sizes, kernel
-    output, the replicates' own rows of it, and per replicate (sizes,
-    pooled vector, head rows, stream) with a head or () without).  PERM
-    draws on."""
+    replicate at a time.  Yields the block's replicates (sizes, n, stream),
+    its sizes, its pooled rows back to back and their kernel output; each
+    stream is left where PERM draws on."""
     e_spec, k, merged = spec.e_spec, gen.k, _one_call(b_spec, spec.e_spec)
-    for block in _cuts(spec.seed.generators(*path, count=spec.replicates), gen, fixed_sizes, head):
+    for block in _cuts(spec.seed.generators(*path, count=spec.replicates), gen, fixed_sizes):
         if merged and fixed_sizes is not None:  # one (B, k + n) array: each row's b, then its e
-            x = np.concatenate([_draw_noise(b_spec, k + n, rng)[0] for _, n, _, rng in block])
+            x = np.concatenate([_draw_noise(b_spec, k + n, rng)[0] for _, n, rng in block])
             x = x.reshape(len(block), -1)
             b_draws, e_draws = [x[:, :k]], [x[:, k:]]
         elif merged:  # a replicate's one array holds its b, then its e
-            xs = [_draw_noise(b_spec, k + n, rng)[0] for _, n, _, rng in block]
+            xs = [_draw_noise(b_spec, k + n, rng)[0] for _, n, rng in block]
             b_draws, e_draws = [np.concatenate([x[:k] for x in xs])], [np.concatenate([x[k:] for x in xs])]
         else:  # a replicate's arrays of b, then its arrays of e
-            draws = [(_draw_noise(b_spec, k, rng), _draw_noise(e_spec, n, rng)) for _, n, _, rng in block]
+            draws = [(_draw_noise(b_spec, k, rng), _draw_noise(e_spec, n, rng)) for _, n, rng in block]
             b_draws, e_draws = ([np.concatenate(a) for a in zip(*parts)] for parts in zip(*draws))
         b = _scale_noise(b_spec, b_draws, len(block) * k)
         if fixed_sizes is None:
@@ -422,35 +419,23 @@ def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, 
             sizes = fixed_sizes[None]
             y = spec.mu + np.repeat(b.reshape(-1, k), fixed_sizes, axis=1).ravel()
         y += _scale_noise(e_spec, e_draws, y.size).ravel()
-        if not head:
-            yield sizes, _statistics(y, sizes), slice(None), ()
-            continue
-        # each replicate's row, then its first permutations, copied once
-        ends = itertools.accumulate(n for _, n, _, _ in block)
-        heads = [(s, y[end - n:end], rows, rng) for (s, n, rows, rng), end in zip(block, ends)]
-        values = np.concatenate([a for _, row, rows, rng in heads
-                                 for a in (row, next(_permuted_stacks(rng, row, rows)))], axis=None)
-        heights = np.array([1 + rows for _, _, rows, _ in block])
-        st = _statistics(values, sizes if len(sizes) == 1 else sizes.repeat(heights, axis=0))
-        yield sizes, st, heights.cumsum() - heights, heads
+        yield block, sizes, y, _statistics(y, sizes)
 
 
-def _cuts(streams, gen: DesignGen, fixed_sizes, head):
-    """The replicates (sizes, n, head rows, stream) of ``streams`` in blocks
-    of at most ``_CHUNK_VALUES`` values, n for the replicate's row and n
-    per head row, or of one replicate.  Redrawn sizes are drawn first on
-    each stream."""
+def _cuts(streams, gen: DesignGen, fixed_sizes):
+    """The replicates (sizes, n, stream) of ``streams`` in blocks of at most
+    ``_CHUNK_VALUES`` values, or of one replicate.  Redrawn sizes are drawn
+    first on each stream."""
     fixed_n = None if fixed_sizes is None else sum(fixed_sizes.tolist())
     block, used = [], 0
     for rng in streams:
         sizes = fixed_sizes if fixed_n else gen.sizes(rng)
         n = fixed_n or sum(sizes.tolist())
-        rows = head and min(head, max(1, _CHUNK_VALUES // n))  # of the head's first stack
-        if block and used + n * (1 + rows) > _CHUNK_VALUES:
+        if block and used + n > _CHUNK_VALUES:
             yield block
             block, used = [], 0
-        block.append((sizes, n, rows, rng))
-        used += n * (1 + rows)
+        block.append((sizes, n, rng))
+        used += n
     yield block
 
 
@@ -470,34 +455,30 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     stacked into blocks of at most 2**16 values, whether the design is
     fixed or redrawn per replicate; ``_blocks`` assembles each block at
     once from its replicates' raw draws.  Each block takes one
-    statistic-kernel call.  U, F and the degenerate count read each
-    replicate's own row of it.  U and F compare that row's statistic with
+    statistic-kernel call, on its replicates' rows alone.  U, F and the
+    degenerate count read it.  U and F compare each row's statistic with
     a cached critical value, the smallest double whose tail is at most
     alpha (``core._critical``: the normal tail for U, the F tail of the
     row's degrees of freedom for F), so they reject exactly where
     ``u_test`` and ``f_test`` would.  PERM's threshold is ``stop``, the
-    largest count that rejects.  Each replicate draws its first
-    permutations of its assembled row right after its errors, and they
-    are stacked below its row in the block (``_blocks``),
-    so PERM counts their exceedances from the same call; the replicate
-    then draws the rest of its ``n_perm`` permutations from its stream in
-    stacks, as ``permutation_pvalue`` does and counted as it counts them
-    (from group sums on a balanced design), only while the count is at
-    most ``stop``: the count only grows, so the decision is that of all
-    ``n_perm`` permutations.  A degenerate replicate's first permutations
-    are drawn but never counted; it is counted once and reported under
-    every method.
+    largest count that rejects.  Each replicate then draws its ``n_perm``
+    permutations of its assembled row from its stream, in stacks, as
+    ``permutation_pvalue`` does, and counts them as it counts them (from
+    group sums on a balanced design), only while the count is at most
+    ``stop``: the count only grows, so the decision is that of all
+    ``n_perm`` permutations.  A degenerate replicate draws none; it is
+    counted once and reported under every method.
 
-    ``workers`` must be at least 1.  It changes neither the result nor how
-    the run executes: everything runs in this process.
+    ``workers`` must be an integer of at least 1.  It changes neither the
+    result nor how the run executes: everything runs in this process.
     """
-    if workers < 1:
+    if _integer(workers, "workers") < 1:
         raise ValueError("workers must be at least 1")
     stop = _perm_stop(spec.alpha, spec.n_perm) if "PERM" in spec.methods else -1
     # A replicate passes stop within its first 3 * (stop + 1) permutations when
-    # its p-value is above about a third, as most that do not reject do, so
-    # those are evaluated in the block's kernel call; the rest go on in full
-    # stacks, since every further check costs a kernel call and makes a
+    # its p-value is above about a third, as most that do not reject do, so its
+    # first stack holds that many; the rest go on in full stacks, since every
+    # further check costs a generator call and a count, and makes a
     # replicate's time depend on more of its data.  With stop < 0 no count
     # rejects and nothing is drawn.
     head = min(3 * (stop + 1), spec.n_perm)
@@ -512,20 +493,21 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
             b_spec = spec.b_spec.with_variance(sigma_b2)
             rejections = dict.fromkeys(spec.methods, 0)
             degenerate = 0
-            for sizes, st, own, heads in _blocks(spec, gen, b_spec, fixed_sizes, head,
-                                                 cell_index, grid_index):
-                degenerate += int(np.count_nonzero(st.degenerate[own]))
+            for block, sizes, y, st in _blocks(spec, gen, b_spec, fixed_sizes, cell_index, grid_index):
+                degenerate += int(np.count_nonzero(st.degenerate))
                 for method in spec.methods:
                     if method != "PERM":
-                        rejections[method] += _rejections(method, st, sizes, spec.alpha, own)
+                        rejections[method] += _rejections(method, st, sizes, spec.alpha)
                     elif head:  # else stop < 0: no count rejects
-                        for (s, y, rows, rng), i in zip(heads, own.tolist()):
-                            if not st.degenerate[i]:
-                                first = slice(i + 1, i + 1 + rows)
-                                rest = _permuted_stacks(rng, y, spec.n_perm - rows)
-                                outputs = itertools.chain([(st.j[first], st.degenerate[first])],
-                                                          _screened_statistics(rest, s[None], y, st.j[i]))
-                                rejections[method] += _exceedances(outputs, st.j[i], stop) <= stop
+                        ends = itertools.accumulate(n for _, n, _ in block)
+                        for (s, n, rng), end, j_obs, skip in zip(block, ends, st.j.tolist(),
+                                                                 st.degenerate.tolist()):
+                            if not skip:
+                                row, first = y[end - n:end], min(head, max(1, _CHUNK_VALUES // n))
+                                stacks = itertools.chain(_permuted_stacks(rng, row, first),
+                                                         _permuted_stacks(rng, row, spec.n_perm - first))
+                                outputs = _screened_statistics(stacks, s[None], row, j_obs)
+                                rejections[method] += _exceedances(outputs, j_obs, stop) <= stop
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(

@@ -151,6 +151,11 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(_tiny_scenario(replicates=1), workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, True])
+    def test_workers_must_be_an_integer(self, workers):
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            run_scenario(_tiny_scenario(replicates=1), workers=workers)
+
     def test_cell_layout(self):
         table = run_scenario(_tiny_scenario())
         assert len(table.cells) == 2 * 2  # grid x methods
@@ -237,8 +242,8 @@ class TestRunScenario:
 
     def test_design_constants_once_per_fixed_design(self):
         """A U+PERM run over two fixed designs computes the kernel's design
-        constants once per design, for blocks, heads and later stacks
-        alike; blocks of redrawn designs compute theirs per call and keep
+        constants once per design, for blocks and permutation stacks alike;
+        blocks of redrawn designs compute theirs per call and keep
         none."""
         spec = _tiny_scenario(
             design_gens=(Balanced(4, 3), Balanced(3, 5)), methods=("U", "PERM"), n_perm=39
@@ -328,7 +333,8 @@ class TestBatchedEngine:
                 replicates=150,
                 sigma_b2_grid=(0.0, 0.05),
             ),
-            # n = 1000, stop = 1: heads of 6 permutations, so blocks of 9 replicates
+            # n = 1000, stop = 1: one block of 30 replicates, then a first stack of
+            # 6 permutations per replicate
             dict(
                 design_gens=(Balanced(100, 10),),
                 methods=("U", "PERM"),
@@ -336,7 +342,8 @@ class TestBatchedEngine:
                 replicates=30,
                 sigma_b2_grid=(0.0, 0.05),
             ),
-            # n = 3600: the head is capped at 2**16 // 3600 = 18 < 3 * (stop + 1) = 30
+            # n = 3600: one block of 12 replicates; a replicate's first stack of
+            # permutations is capped at 2**16 // 3600 = 18 < 3 * (stop + 1) = 30 rows
             dict(
                 design_gens=(Balanced(4, 900),),
                 methods=("U", "F", "PERM"),
@@ -447,11 +454,13 @@ class TestBatchedEngine:
              "t41-zero-errors"],
     )
     def test_kernel_input_of_one_replicate_at_a_time(self, b_spec, e_spec, redraw, head, monkeypatch):
-        """Every value the blocks hand the kernel, bit for bit: each
-        replicate's row mu + repeat(b, sizes) + e, with b and e from
-        ``sample_noise`` on the replicate's own stream, then its head stack
-        from ``_permuted_stacks`` on that stream.  Rates could hide a
-        last-bit difference; these bytes cannot."""
+        """Every value a run hands the kernel in its blocks, bit for bit and
+        one call per block: each replicate's row mu + repeat(b, sizes) + e,
+        with b and e from ``sample_noise`` on the replicate's own stream,
+        and nothing else.  With a head, PERM draws each replicate's first
+        stack of permutations after the block's call, and its stacks reach
+        the kernel only through ``_stack_statistics``, here unrecorded.
+        Rates could hide a last-bit difference; these bytes cannot."""
         spec = _tiny_scenario(
             # n = 900..1500 in the last cell: several blocks
             design_gens=(UniformSizes(4, 2, 6), UniformSizes(30, 30, 50)),
@@ -463,33 +472,75 @@ class TestBatchedEngine:
             n_perm=39,
             replicates=70,
         )
-        stop = _perm_stop(spec.alpha, spec.n_perm) if head else -1
-        head_rows = min(3 * (stop + 1), spec.n_perm)
         seen = []
 
         def recorded(values, sizes):
             seen.append(values.copy())
             return _statistics(values, sizes)
 
+        def unrecorded(stacks, sizes):
+            return ((st.j, st.degenerate) for st in (_statistics(x.ravel(), sizes) for x in stacks))
+
         monkeypatch.setattr(simlab, "_statistics", recorded)
+        monkeypatch.setattr(simlab, "_stack_statistics", unrecorded)
+        run_scenario(spec)
+        expected, blocks = [], 0
         for cell, gen in enumerate(spec.design_gens):
             fixed = None if redraw else gen.sizes(spec.seed.generator(cell))
             for grid, sigma_b2 in enumerate(spec.sigma_b2_grid):
                 b_grid = b_spec.with_variance(sigma_b2)
-                seen.clear()
-                blocks = list(simlab._blocks(spec, gen, b_grid, fixed, head_rows, cell, grid))
-                expected = []
+                streams = spec.seed.generators(cell, grid, count=spec.replicates)
+                blocks += sum(1 for _ in simlab._cuts(streams, gen, fixed))
                 for r in range(spec.replicates):
                     rng = spec.seed.generator(cell, grid, r)
                     sizes = gen.sizes(rng) if fixed is None else fixed
-                    y = (spec.mu + np.repeat(sample_noise(b_grid, gen.k, rng), sizes)
-                         + sample_noise(e_spec, int(sizes.sum()), rng))
-                    expected.append(y)
-                    if head_rows:
-                        expected.append(next(_permuted_stacks(rng, y, head_rows)).ravel())
-                assert len(seen) == len(blocks)
-                assert np.concatenate(seen).tobytes() == np.concatenate(expected).tobytes()
-        assert len(blocks) > 1
+                    expected.append(spec.mu + np.repeat(sample_noise(b_grid, gen.k, rng), sizes)
+                                    + sample_noise(e_spec, int(sizes.sum()), rng))
+        assert len(seen) == blocks > len(spec.design_gens) * len(spec.sigma_b2_grid)
+        assert np.concatenate(seen).tobytes() == np.concatenate(expected).tobytes()
+
+    # errors of variance 1e-26 put permuted rows within the screen's rounding
+    # bound of degeneracy, so the screen passes some to the kernel
+    @pytest.mark.parametrize("e_variance", [1.0, 1e-26], ids=["normal", "near-degenerate"])
+    def test_balanced_perm_kernel_input(self, e_variance, monkeypatch):
+        """A balanced U+PERM run hands the kernel its replicates' rows in one
+        call per block, and otherwise only the permuted rows that the
+        group-sum screen passes to ``_stack_statistics``, one call each."""
+        e_spec = NoiseSpec(NoiseFamily.NORMAL, e_variance)
+        spec = _tiny_scenario(design_gens=(Balanced(10, 5),), e_spec=e_spec, sigma_b2_grid=(0.0, 0.5),
+                              methods=("U", "PERM"), n_perm=199, replicates=100)
+        calls, stack_statistics = [], simlab._stack_statistics
+
+        def recorded(values, sizes):
+            calls.append(values.tobytes())
+            return _statistics(values, sizes)
+
+        def passed(stacks, sizes):
+            for x in stacks:
+                calls.append(("screened", x.tobytes()))
+                yield from stack_statistics([x], sizes)
+
+        monkeypatch.setattr(simlab, "_statistics", recorded)
+        monkeypatch.setattr(simlab, "_stack_statistics", passed)
+        table = run_scenario(spec)
+        blocks, screened = [], 0
+        for call in (it := iter(calls)):
+            if isinstance(call, tuple):
+                assert next(it) == call[1]
+                screened += 1
+            else:
+                blocks.append(call)
+        expected = []
+        for grid, sigma_b2 in enumerate(spec.sigma_b2_grid):
+            rows = []
+            for r in range(spec.replicates):
+                rng = spec.seed.generator(0, grid, r)
+                b = sample_noise(_NORMAL.with_variance(sigma_b2), 10, rng)
+                rows.append(spec.mu + np.repeat(b, 5) + sample_noise(e_spec, 50, rng))
+            expected.append(np.concatenate(rows).tobytes())
+        assert blocks == expected  # one block of 100 rows of 50 values per grid value
+        assert (screened > 0) == (e_variance < 1.0)
+        assert table.cells == reference_run_scenario(spec)[0]
 
 
 class TestGoldenTables:
@@ -624,6 +675,17 @@ class TestPermutation:
         ds = Dataset([[0, 2], [1, 3]])
         with pytest.raises(ValueError):
             permutation_pvalue(ds, 0, SeedSpec(1))
+
+    @pytest.mark.parametrize("n_perm", [True, 2.5])
+    def test_n_perm_must_be_an_integer(self, n_perm):
+        # True would run one permutation and report "n_perm": True
+        with pytest.raises(TypeError, match="n_perm must be an integer"):
+            permutation_pvalue(Dataset([[0, 2], [1, 3]]), n_perm, SeedSpec(1))
+
+    def test_numpy_integer_n_perm_is_reported_as_int(self):
+        res = permutation_pvalue(Dataset([[0, 2], [1, 3]]), np.int64(9), SeedSpec(1))
+        assert type(res.extras["n_perm"]) is int
+        assert res == permutation_pvalue(Dataset([[0, 2], [1, 3]]), 9, SeedSpec(1))
 
     def test_seed_required_for_random_mode(self):
         with pytest.raises(ValueError):
