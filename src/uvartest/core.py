@@ -640,7 +640,7 @@ def _rejections(method: str, st: _Stats, sizes: np.ndarray, alpha: float) -> int
     statistic reaches the method's critical value (:func:`_critical`), one
     for U and one per distinct n - k for F.  Only the statistic and the
     degeneracy flag are read.  PERM decides by the same kind of threshold,
-    ``stop`` in ``simlab.run_scenario``."""
+    ``stop`` in ``simlab._run_unit``."""
     stat, crit = st.j, _critical(alpha)
     if method == "F":
         k, stat = sizes.shape[-1], st.f

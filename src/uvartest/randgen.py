@@ -348,9 +348,9 @@ class Balanced:
     m: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
+        if _set_integer(self, "k") < 2:
             raise ValueError("need at least 2 groups")
-        if self.m < 2:
+        if _set_integer(self, "m") < 2:
             raise ValueError("need at least 2 observations per group")
 
     @cached_property
@@ -377,11 +377,11 @@ class ShiftedGeometric:
     shift: int = 2
 
     def __post_init__(self) -> None:
-        if self.k < 2:
+        if _set_integer(self, "k") < 2:
             raise ValueError("need at least 2 groups")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        if self.shift < 2:
+        if _set_integer(self, "shift") < 2:
             raise ValueError("shift must be at least 2 to keep groups testable")
 
     @cached_property
@@ -406,11 +406,11 @@ class UniformSizes:
     hi: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
+        if _set_integer(self, "k") < 2:
             raise ValueError("need at least 2 groups")
-        if self.lo < 2:
+        if _set_integer(self, "lo") < 2:
             raise ValueError("lo must be at least 2 to keep groups testable")
-        if self.hi < self.lo:
+        if _set_integer(self, "hi") < self.lo:
             raise ValueError("hi must be at least lo")
 
     @cached_property

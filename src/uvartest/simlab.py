@@ -4,23 +4,27 @@ tests, plus permutation calibration of the normal-calibrated statistic.
 A scenario bundles design generators, noise specifications, a grid of
 between-group variances and a seed.  Running it produces a rejection table:
 one row per (design cell, grid value, method) with the empirical rejection
-rate and its Monte Carlo standard error.  Replicates are drawn one by one,
-each from its own stream seeded by (seed, cell index, grid index, replicate
-index); the streams of one (cell, grid value) are seeded in one batch, with
-the values of seeding each on its own.  Replicates are evaluated in blocks
-of at most 2**16 values, for fixed and redrawn designs alike.  Per replicate
-only its generator calls run: sizes when redrawn, then the raw variates of
-its group effects and errors.  Scaling them, assembling the pooled vectors
-and one statistic-kernel call run once per block, through the operations
-that assembling each replicate on its own takes, so the values are the same.
-Under PERM each replicate then draws permutations of its assembled row from
-its stream, a stack of rows per generator call, but only until its decision
-is fixed; its rates are still those of the full ``n_perm`` test.  The block's
-kernel call evaluates no permuted row.  ``permutation_pvalue`` draws and
-counts through the same helpers.  On a balanced design every stack is
-counted from each row's k group sums, a screen that calls the kernel only
-for rows too close to the threshold (or to degeneracy) to decide with
-certainty.  Every run of a scenario gives bit-identical results.
+rate and its Monte Carlo standard error.  Each (cell, grid value) is one
+unit of work, run by one ``_run_unit`` call from the scenario, the two
+indices and the cell's fixed design alone, so units may run in any order.
+Within a unit, replicates are drawn one by one, each from its own stream
+seeded by (seed, cell index, grid index, replicate index); the streams of
+a unit are seeded in one batch, with the values of seeding each on its own.
+Replicates are evaluated in blocks of at most 2**16 values, for fixed and
+redrawn designs alike.  Per replicate only its generator calls run: sizes
+when redrawn, then the raw variates of its group effects and errors.
+Scaling them, assembling the pooled vectors and one statistic-kernel call
+run once per block, through the operations that assembling each replicate
+on its own takes, so the values are the same.  Under PERM each replicate
+then draws permutations of its assembled row from its stream, a stack of
+rows per generator call, but only until its decision is fixed; its rates
+are still those of the full ``n_perm`` test.  The block's kernel call
+evaluates no permuted row.  One helper, ``_perm_exceedances``, draws and
+counts the random permutations of the engine and of
+``permutation_pvalue`` alike.  On a balanced design every stack is counted
+from each row's k group sums, a screen that calls the kernel only for rows
+too close to the threshold (or to degeneracy) to decide with certainty.
+Every run of a scenario gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -111,6 +115,9 @@ class ScenarioSpec:
                 raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
         if not self.design_gens:
             raise ValueError("at least one design generator is required")
+        for gen in self.design_gens:
+            if not isinstance(gen, tuple(_DESIGN_KINDS.values())):
+                raise TypeError(f"design_gens must hold design generators, got {gen!r}")
         _check_alpha(self.alpha)
         if _set_integer(self, "replicates") < 1:
             raise ValueError("replicates must be at least 1")
@@ -213,10 +220,11 @@ class RejectionTable:
 
 
 def mc_se(rate: float, n: int) -> float:
-    """Monte Carlo standard error of a proportion: sqrt(rate(1-rate)/n)."""
+    """Monte Carlo standard error of a proportion: sqrt(rate(1-rate)/n).
+    ``n`` must be an integer (TypeError otherwise) of at least 1."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
     return math.sqrt(rate * (1.0 - rate) / n)
 
@@ -321,6 +329,21 @@ def _permuted_stacks(rng: np.random.Generator, y: np.ndarray, count: int) -> Ite
         yield rng.permuted(stack, axis=1, out=stack)
 
 
+def _perm_exceedances(rng, y: np.ndarray, sizes, j_obs: float, n_perm: int, stop=None) -> int:
+    """Exceedances of ``j_obs`` among ``n_perm`` random permutations of the
+    values ``y``, with group sizes the (1, k) array ``sizes``, drawn from
+    ``rng`` by ``_permuted_stacks`` and counted by ``_exceedances`` through
+    ``_screened_statistics``.  With ``stop``, drawing ends once the count
+    passes it, and the first stack holds at most 3 (stop + 1) rows: most
+    rows whose p-value is above about a third pass ``stop`` by then.  The
+    rest go on in full stacks, since every further check costs a generator
+    call and a count, and makes a row's time depend on more of its data."""
+    rows = max(1, _CHUNK_VALUES // y.size)
+    first = min(n_perm, rows) if stop is None else min(3 * (stop + 1), n_perm, rows)
+    stacks = itertools.chain(_permuted_stacks(rng, y, first), _permuted_stacks(rng, y, n_perm - first))
+    return _exceedances(_screened_statistics(stacks, sizes, y, j_obs), j_obs, stop)
+
+
 def permutation_pvalue(
     dataset: Dataset,
     n_perm: int | None = None,
@@ -342,16 +365,20 @@ def permutation_pvalue(
     reorders, relabelled equal-size groups) give the same statistic in
     exact arithmetic but not always in floating point.  Permutations with
     degenerate within-group variance never count as exceedances.  Random
-    permutations are drawn as stacks of permuted values, one generator call
-    per stack of at most 2**16 values, with the rows and the final
-    generator state of one ``rng.permutation`` call per permutation.  On a balanced design a
-    permutation's statistic grows with the spread of its k group sums
-    alone, so each stack is counted from those sums; only rows within a
-    rounding-error bound of the threshold, or near degeneracy, are
-    evaluated by the kernel, and every count is the kernel's.
+    permutations are drawn and counted by ``_perm_exceedances``, the helper
+    the simulation engine's PERM uses: stacks of permuted values, one
+    generator call per stack of at most 2**16 values, with the rows and the
+    final generator state of one ``rng.permutation`` call per permutation.
+    Exhaustive assignments are stacked here and counted by the same rule.
+    On a balanced design a permutation's statistic grows with the spread of
+    its k group sums alone, so each stack is counted from those sums; only
+    rows within a rounding-error bound of the threshold, or near
+    degeneracy, are evaluated by the kernel, and every count is the
+    kernel's.
     """
     j_obs = u_test(dataset, alpha).statistic  # raises DegenerateWithinVariance if undefined
     design, n, values = dataset.design, dataset.design.n, dataset.values
+    sizes = np.array([design.group_sizes])
 
     if exhaustive:
         total = math.factorial(n) // math.prod(map(math.factorial, design.group_sizes))
@@ -365,15 +392,14 @@ def permutation_pvalue(
         chunks = iter(lambda: list(itertools.islice(assignments, rows)), [])
         stacks = (values[np.array(chunk)] for chunk in chunks)
         n_perm = total
+        exceed = _exceedances(_screened_statistics(stacks, sizes, values, j_obs), j_obs)
     else:
         if n_perm is None or (n_perm := _integer(n_perm, "n_perm")) < 1:
             raise ValueError("n_perm must be at least 1")
         if seed is None:
             raise ValueError("a seed is required for random permutations")
-        stacks = _permuted_stacks(_resolve_rng(seed), values, n_perm)
+        exceed = _perm_exceedances(_resolve_rng(seed), values, sizes, j_obs, n_perm)
 
-    sizes = np.array([design.group_sizes])
-    exceed = _exceedances(_screened_statistics(stacks, sizes, values, j_obs), j_obs)
     p = (1.0 + exceed) / (n_perm + 1.0)
     return TestResult(
         method="PERM",
@@ -385,47 +411,11 @@ def permutation_pvalue(
     )
 
 
-def _blocks(spec: ScenarioSpec, gen: DesignGen, b_spec: NoiseSpec, fixed_sizes, *path: int):
-    """Replicates of one (cell, grid value) in blocks of ``_cuts``, each
-    evaluated by one kernel call.  The streams (*path, r) of all replicates
-    r are seeded in one batch by ``SeedSpec.generators``, with the values of
-    seeding each on its own, and built as the blocks reach them.  Stream
-    (*path, r) draws sizes (unless fixed), then the raw variates of b and of
-    e (``_draw_noise``), in one call when one sampler draws both
-    (``_one_call``); only these generator calls run per replicate.  Scaling
-    the variates, adding mu and the repeated b, and the kernel run once per
-    block: on a (B, n) array for a fixed design, on the rows back to back
-    for redrawn ones, through the same operations on every value as one
-    replicate at a time.  Yields the block's replicates (sizes, n, stream),
-    its sizes, its pooled rows back to back and their kernel output; each
-    stream is left where PERM draws on."""
-    e_spec, k, merged = spec.e_spec, gen.k, _one_call(b_spec, spec.e_spec)
-    for block in _cuts(spec.seed.generators(*path, count=spec.replicates), gen, fixed_sizes):
-        if merged and fixed_sizes is not None:  # one (B, k + n) array: each row's b, then its e
-            x = np.concatenate([_draw_noise(b_spec, k + n, rng)[0] for _, n, rng in block])
-            x = x.reshape(len(block), -1)
-            b_draws, e_draws = [x[:, :k]], [x[:, k:]]
-        elif merged:  # a replicate's one array holds its b, then its e
-            xs = [_draw_noise(b_spec, k + n, rng)[0] for _, n, rng in block]
-            b_draws, e_draws = [np.concatenate([x[:k] for x in xs])], [np.concatenate([x[k:] for x in xs])]
-        else:  # a replicate's arrays of b, then its arrays of e
-            draws = [(_draw_noise(b_spec, k, rng), _draw_noise(e_spec, n, rng)) for _, n, rng in block]
-            b_draws, e_draws = ([np.concatenate(a) for a in zip(*parts)] for parts in zip(*draws))
-        b = _scale_noise(b_spec, b_draws, len(block) * k)
-        if fixed_sizes is None:
-            sizes = np.array([s for s, *_ in block])
-            y = spec.mu + np.repeat(b, sizes.ravel())
-        else:  # one row of sizes serves every row of a fixed design
-            sizes = fixed_sizes[None]
-            y = spec.mu + np.repeat(b.reshape(-1, k), fixed_sizes, axis=1).ravel()
-        y += _scale_noise(e_spec, e_draws, y.size).ravel()
-        yield block, sizes, y, _statistics(y, sizes)
-
-
 def _cuts(streams, gen: DesignGen, fixed_sizes):
     """The replicates (sizes, n, stream) of ``streams`` in blocks of at most
-    ``_CHUNK_VALUES`` values, or of one replicate.  Redrawn sizes are drawn
-    first on each stream."""
+    ``_CHUNK_VALUES`` values, or of one replicate, for ``_run_unit`` to
+    evaluate a block at a time.  Redrawn sizes are drawn first on each
+    stream."""
     fixed_n = None if fixed_sizes is None else sum(fixed_sizes.tolist())
     block, used = [], 0
     for rng in streams:
@@ -448,40 +438,88 @@ def _perm_stop(alpha: float, n_perm: int) -> int:
     return next(e for e in (stop + 1, stop, stop - 1) if e < 0 or (1.0 + e) / (n_perm + 1.0) <= alpha)
 
 
+def _run_unit(spec: ScenarioSpec, cell_index: int, grid_index: int, fixed_sizes) -> tuple[dict, int]:
+    """Rejections per method and the number of degenerate replicates of one
+    (design cell, grid value) unit of ``spec``.  ``fixed_sizes`` is the
+    cell's design, or None when it is redrawn per replicate.  A unit reads
+    nothing but its arguments and its own streams, so units may run in any
+    order, or apart.
+
+    The streams (cell_index, grid_index, r) of all replicates r are seeded
+    in one batch by ``SeedSpec.generators``, with the values of seeding each
+    on its own, and built as the blocks of ``_cuts`` reach them.  Stream r
+    draws sizes (unless fixed), then the raw variates of b and of e
+    (``_draw_noise``), in one call when one sampler draws both
+    (``_one_call``); only these generator calls run per replicate.  Scaling
+    the variates, adding mu and the repeated b, and one statistic-kernel
+    call run once per block: on a (B, n) array for a fixed design, on the
+    rows back to back for redrawn ones, through the same operations on every
+    value as one replicate at a time.  U, F and the degenerate count read
+    the kernel's output.  Each replicate that is not degenerate then draws
+    its PERM permutations of its row from its stream, by
+    ``_perm_exceedances``, only until the count passes ``stop``: the count
+    only grows, so the decision is that of all ``n_perm`` permutations."""
+    gen, b_spec = spec.design_gens[cell_index], spec.b_spec.with_variance(spec.sigma_b2_grid[grid_index])
+    e_spec, k, merged = spec.e_spec, gen.k, _one_call(b_spec, spec.e_spec)
+    # with stop < 0 (or no PERM) no count rejects, and nothing is drawn
+    stop = _perm_stop(spec.alpha, spec.n_perm) if "PERM" in spec.methods else -1
+    rejections, degenerate = dict.fromkeys(spec.methods, 0), 0
+    for block in _cuts(spec.seed.generators(cell_index, grid_index, count=spec.replicates), gen, fixed_sizes):
+        if merged and fixed_sizes is not None:  # one (B, k + n) array: each row's b, then its e
+            x = np.concatenate([_draw_noise(b_spec, k + n, rng)[0] for _, n, rng in block])
+            x = x.reshape(len(block), -1)
+            b_draws, e_draws = [x[:, :k]], [x[:, k:]]
+        elif merged:  # a replicate's one array holds its b, then its e
+            xs = [_draw_noise(b_spec, k + n, rng)[0] for _, n, rng in block]
+            b_draws, e_draws = [np.concatenate([x[:k] for x in xs])], [np.concatenate([x[k:] for x in xs])]
+        else:  # a replicate's arrays of b, then its arrays of e
+            draws = [(_draw_noise(b_spec, k, rng), _draw_noise(e_spec, n, rng)) for _, n, rng in block]
+            b_draws, e_draws = ([np.concatenate(a) for a in zip(*parts)] for parts in zip(*draws))
+        b = _scale_noise(b_spec, b_draws, len(block) * k)
+        if fixed_sizes is None:
+            sizes = np.array([s for s, *_ in block])
+            y = spec.mu + np.repeat(b, sizes.ravel())
+        else:  # one row of sizes serves every row of a fixed design
+            sizes = fixed_sizes[None]
+            y = spec.mu + np.repeat(b.reshape(-1, k), fixed_sizes, axis=1).ravel()
+        y += _scale_noise(e_spec, e_draws, y.size).ravel()
+        st = _statistics(y, sizes)
+        degenerate += int(np.count_nonzero(st.degenerate))
+        for method in (m for m in spec.methods if m != "PERM"):
+            rejections[method] += _rejections(method, st, sizes, spec.alpha)
+        if stop >= 0:
+            ends = itertools.accumulate(n for _, n, _ in block)
+            for (s, n, rng), end, j_obs, skip in zip(block, ends, st.j.tolist(), st.degenerate.tolist()):
+                if not skip:
+                    count = _perm_exceedances(rng, y[end - n:end], s[None], j_obs, spec.n_perm, stop)
+                    rejections["PERM"] += count <= stop
+    return rejections, degenerate
+
+
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     """Run every (design cell, grid value) of the scenario.
 
-    Replicates are drawn one by one, each from its own derived stream, and
-    stacked into blocks of at most 2**16 values, whether the design is
-    fixed or redrawn per replicate; ``_blocks`` assembles each block at
-    once from its replicates' raw draws.  Each block takes one
-    statistic-kernel call, on its replicates' rows alone.  U, F and the
-    degenerate count read it.  U and F compare each row's statistic with
-    a cached critical value, the smallest double whose tail is at most
-    alpha (``core._critical``: the normal tail for U, the F tail of the
-    row's degrees of freedom for F), so they reject exactly where
-    ``u_test`` and ``f_test`` would.  PERM's threshold is ``stop``, the
-    largest count that rejects.  Each replicate then draws its ``n_perm``
-    permutations of its assembled row from its stream, in stacks, as
-    ``permutation_pvalue`` does, and counts them as it counts them (from
-    group sums on a balanced design), only while the count is at most
-    ``stop``: the count only grows, so the decision is that of all
-    ``n_perm`` permutations.  A degenerate replicate draws none; it is
-    counted once and reported under every method.
+    Each cell's fixed design, when it has one, is drawn from the cell's own
+    stream (seed, cell index); then each (cell, grid value) unit runs by
+    one ``_run_unit`` call, in order, and its counts become the table's
+    rows.  Within a unit, replicates are drawn one by one, each from its own
+    derived stream, and evaluated in blocks of at most 2**16 values, whether
+    the design is fixed or redrawn per replicate.  U and F compare each
+    row's statistic with a cached critical value, the smallest double whose
+    tail is at most alpha (``core._critical``: the normal tail for U, the F
+    tail of the row's degrees of freedom for F), so they reject exactly
+    where ``u_test`` and ``f_test`` would.  PERM's threshold is ``stop``,
+    the largest count that rejects; each replicate draws and counts its
+    ``n_perm`` permutations as ``permutation_pvalue`` does (from group sums
+    on a balanced design), only while the count is at most ``stop``.  A
+    degenerate replicate draws none; it is counted once and reported under
+    every method.
 
     ``workers`` must be an integer of at least 1.  It changes neither the
     result nor how the run executes: everything runs in this process.
     """
     if _integer(workers, "workers") < 1:
         raise ValueError("workers must be at least 1")
-    stop = _perm_stop(spec.alpha, spec.n_perm) if "PERM" in spec.methods else -1
-    # A replicate passes stop within its first 3 * (stop + 1) permutations when
-    # its p-value is above about a third, as most that do not reject do, so its
-    # first stack holds that many; the rest go on in full stacks, since every
-    # further check costs a generator call and a count, and makes a
-    # replicate's time depend on more of its data.  With stop < 0 no count
-    # rejects and nothing is drawn.
-    head = min(3 * (stop + 1), spec.n_perm)
     cells: list[RejectionCell] = []
     diagnostics: dict[tuple[str, int, str, float, str], int] = {}
     for cell_index, gen in enumerate(spec.design_gens):
@@ -490,24 +528,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
         cell_rng = spec.seed.generator(cell_index) if gen.draws and not redraw else None
         fixed_sizes = None if redraw else gen.sizes(cell_rng)
         for grid_index, sigma_b2 in enumerate(spec.sigma_b2_grid):
-            b_spec = spec.b_spec.with_variance(sigma_b2)
-            rejections = dict.fromkeys(spec.methods, 0)
-            degenerate = 0
-            for block, sizes, y, st in _blocks(spec, gen, b_spec, fixed_sizes, cell_index, grid_index):
-                degenerate += int(np.count_nonzero(st.degenerate))
-                for method in spec.methods:
-                    if method != "PERM":
-                        rejections[method] += _rejections(method, st, sizes, spec.alpha)
-                    elif head:  # else stop < 0: no count rejects
-                        ends = itertools.accumulate(n for _, n, _ in block)
-                        for (s, n, rng), end, j_obs, skip in zip(block, ends, st.j.tolist(),
-                                                                 st.degenerate.tolist()):
-                            if not skip:
-                                row, first = y[end - n:end], min(head, max(1, _CHUNK_VALUES // n))
-                                stacks = itertools.chain(_permuted_stacks(rng, row, first),
-                                                         _permuted_stacks(rng, row, spec.n_perm - first))
-                                outputs = _screened_statistics(stacks, s[None], row, j_obs)
-                                rejections[method] += _exceedances(outputs, j_obs, stop) <= stop
+            rejections, degenerate = _run_unit(spec, cell_index, grid_index, fixed_sizes)
             for method in spec.methods:
                 rate = rejections[method] / spec.replicates
                 cells.append(

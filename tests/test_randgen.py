@@ -331,3 +331,29 @@ class TestGenDesign:
             ShiftedGeometric(10, 0.0)
         with pytest.raises(ValueError):
             Balanced(1, 5)
+
+    # a float size would be drawn as a float (or, for hi, rounded down while
+    # the label keeps the float) and fail deep in run_scenario
+    @pytest.mark.parametrize("args, name", [((10.0, 5), "k"), ((10, 2.5), "m"),
+                                            ((10, np.float64(5.0)), "m"), ((10, True), "m")])
+    def test_balanced_sizes_must_be_integers(self, args, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            Balanced(*args)
+        gen = Balanced(np.int64(10), np.uint8(5))
+        assert (type(gen.k), type(gen.m), gen) == (int, int, Balanced(10, 5))
+
+    @pytest.mark.parametrize("args, name", [((4.0, 0.3), "k"), ((4, 0.3, 2.0), "shift"),
+                                            ((4, 0.3, "2"), "shift")])
+    def test_geometric_sizes_must_be_integers(self, args, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            ShiftedGeometric(*args)
+        gen = ShiftedGeometric(np.int32(4), 0.3, np.int64(3))
+        assert (type(gen.k), type(gen.shift), gen.label) == (int, int, "geometric(p=0.3)+3")
+
+    @pytest.mark.parametrize("args, name", [((4.0, 2, 6), "k"), ((4, 2.0, 6), "lo"),
+                                            ((4, 2, 6.5), "hi")])
+    def test_uniform_sizes_must_be_integers(self, args, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            UniformSizes(*args)
+        gen = UniformSizes(np.int16(4), np.int64(2), np.uint32(6))
+        assert (type(gen.lo), type(gen.hi), gen.label) == (int, int, "uniform(2..6)")

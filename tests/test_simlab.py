@@ -4,6 +4,7 @@ rejection-table serialization."""
 import io
 import itertools
 import math
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -89,6 +90,12 @@ class TestMcSe:
         with pytest.raises(ValueError):
             mc_se(0.5, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 100.0, True, "100"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            mc_se(0.5, n)
+        assert mc_se(0.5, np.int64(100)) == mc_se(0.5, 100)
+
 
 class TestScenarioValidation:
     def test_alpha_range(self):
@@ -129,6 +136,12 @@ class TestScenarioValidation:
         with pytest.raises(TypeError, match=f"{name} must be a "):
             _tiny_scenario(**{name: value})
 
+    @pytest.mark.parametrize("entry", ["x", None, {"kind": "balanced", "k": 4, "m": 3}])
+    def test_design_gens_must_be_design_generators(self, entry):
+        # each would otherwise fail deep in run_scenario with an AttributeError
+        with pytest.raises(TypeError, match="design_gens must hold design generators"):
+            _tiny_scenario(design_gens=(Balanced(4, 3), entry))
+
     def test_numpy_integer_counts_become_int(self):
         spec = _tiny_scenario(replicates=np.int64(20), n_perm=np.uint16(19), methods=("U", "PERM"))
         assert type(spec.replicates) is int and type(spec.n_perm) is int
@@ -155,6 +168,38 @@ class TestRunScenario:
     def test_workers_must_be_an_integer(self, workers):
         with pytest.raises(TypeError, match="workers must be an integer"):
             run_scenario(_tiny_scenario(replicates=1), workers=workers)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(design_gens=(ShiftedGeometric(5, 0.3), Balanced(4, 3))), _FAMILY_REDRAWN,
+         dict(design_gens=(ShiftedGeometric(4, 0.4),), e_spec=NoiseSpec(NoiseFamily.NORMAL, 0.0))],
+        ids=["fixed", "redrawn", "zero-error-variance"],
+    )
+    def test_units_are_independent(self, overrides):
+        """Each (cell, grid value) unit, run on its own from a pickled copy of
+        its arguments and in reverse order, gives the counts run_scenario
+        reports for it: a unit reads nothing another one leaves behind."""
+        spec = _tiny_scenario(**{"methods": ("U", "F", "PERM"), "n_perm": 19, "replicates": 60,
+                                 **overrides})
+        units = [(c, g) for c in range(len(spec.design_gens)) for g in range(len(spec.sigma_b2_grid))]
+        results = {}
+        for c, g in reversed(units):
+            gen = spec.design_gens[c]
+            fixed = None if spec.redraw_design_per_replicate else gen.sizes(spec.seed.generator(c))
+            results[c, g] = simlab._run_unit(*pickle.loads(pickle.dumps((spec, c, g, fixed))))
+        cells, degenerate = [], {}
+        for c, g in units:
+            (rejections, count), gen, sigma_b2 = results[c, g], spec.design_gens[c], spec.sigma_b2_grid[g]
+            for method in spec.methods:
+                rate = rejections[method] / spec.replicates
+                cells.append(simlab.RejectionCell(spec.name, gen.k, gen.label, sigma_b2, method, rate,
+                                                  mc_se(rate, spec.replicates), spec.replicates))
+                if count:
+                    degenerate[spec.name, gen.k, gen.label, sigma_b2, method] = count
+        table = run_scenario(spec)
+        assert table.cells == tuple(cells)
+        assert dict(table.degenerate) == degenerate
+        assert bool(degenerate) == ("e_spec" in overrides)
 
     def test_cell_layout(self):
         table = run_scenario(_tiny_scenario())
