@@ -222,21 +222,31 @@ def _report(result: TestResult, dataset: Dataset) -> dict:
 
 
 def _seed(explicit: int | None) -> int | None:
-    """The explicit seed, else ``$UVARTEST_SEED``, else None."""
+    """The explicit seed, else ``$UVARTEST_SEED``, else None.  A seed outside
+    0..2**64 - 1 raises InputError naming where it came from."""
     env = os.environ.get(SEED_ENV_VAR)
     if explicit is not None or env is None:
-        return explicit
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
+        seed, source = explicit, "--seed"
+    else:
+        try:
+            seed, source = int(env), f"${SEED_ENV_VAR}"
+        except ValueError:
+            raise InputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
+    if seed is not None and not 0 <= seed < 2**64:
+        raise InputError(f"{source} must be an integer from 0 to 2**64 - 1, got {seed}")
+    return seed
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise InputError("--alpha must be in (0, 1)")
+    if args.method == "perm":
+        if args.n_perm < 1:
+            raise InputError("--n-perm must be at least 1")
+        seed = SeedSpec(_seed(args.seed) or 0)
     dataset = _read_grouped_csv(args.data)
     try:
         if args.method == "perm":
-            seed = SeedSpec(_seed(args.seed) or 0)
             results = [permutation_pvalue(dataset, args.n_perm, seed, alpha=args.alpha)]
         else:
             methods = {"u": "U", "f": "F", "both": "UF"}[args.method]
@@ -270,6 +280,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (seed := _seed(args.seed)) is not None:
         spec = dataclasses.replace(spec, seed=SeedSpec(seed, spec.seed.stream_id))
     if args.replicates is not None:
+        if args.replicates < 1:
+            raise InputError("--replicates must be at least 1")
         spec = dataclasses.replace(spec, replicates=args.replicates)
     if args.workers < 1:
         raise InputError("--workers must be at least 1")

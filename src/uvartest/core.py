@@ -300,7 +300,10 @@ def _statistics(values: np.ndarray, sizes: np.ndarray) -> _Stats:
     read as the flat vector.  Each (row, group) segment and each row is
     summed on its own (``np.add.reduceat`` or ``np.add.reduce`` along the
     last axis) without BLAS, so a row gives bit-identical results in any
-    block.
+    block.  On rows it need not scale, a call holds at most one value-sized
+    temporary at a time: ``np.abs``'s, for each row's max|y|, and then the
+    repeated group means, centered and squared in place; the other arrays
+    hold one entry per group or per row.
 
     Values anywhere in the float range give defined statistics: when some
     row's max|y| lies outside [2**-256, 2**256], where squares could
@@ -325,14 +328,23 @@ def _statistics(values: np.ndarray, sizes: np.ndarray) -> _Stats:
         row_counts = np.add.reduce(lay.counts.reshape(-1, k), axis=-1)
         x = np.ldexp(x, np.repeat(-exponent.reshape(*lines, -1), row_counts, axis=-1))
     size, n = lay.size, lay.n
+    # One design's (1, k) sizes enter four products with (R, k) arrays, and
+    # numpy runs a broadcast operand row by row: repeat them once instead.
+    if len(size) < len(peak):
+        size = size.repeat(len(peak), axis=0)
     sums = np.add.reduceat(x, lay.starts, axis=-1).reshape(-1, k)
     means = sums / size
-    centered = x - np.repeat(means.reshape(*lines, -1), lay.counts, axis=-1)
+    # The repeated means become the centered values, then their squares, in
+    # place; np.abs's array above is freed by then.
+    centered = np.repeat(means.reshape(*lines, -1), lay.counts, axis=-1)
+    np.subtract(x, centered, out=centered)
     # Corrected two-pass sums of squares (Chan, Golub & LeVeque, 1983): the
     # drift term removes the rounding error of the group means, so groups
     # that are constant up to a few ulps get their exact, tiny variance.
     drift = np.add.reduceat(centered, lay.starts, axis=-1).reshape(-1, k)
-    squares = np.add.reduceat(centered * centered, lay.starts, axis=-1).reshape(-1, k)
+    np.multiply(centered, centered, out=centered)
+    squares = np.add.reduceat(centered, lay.starts, axis=-1).reshape(-1, k)
+    del centered  # so the per-group arrays below do not add to its peak
     ss_within = squares - drift * drift / size
     dev = means - (np.add.reduce(sums, axis=-1) / n)[:, None]
     sq_between = np.add.reduce(size * (dev * dev), axis=-1)

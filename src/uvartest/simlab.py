@@ -21,9 +21,10 @@ rows per generator call, but only until its decision is fixed; its rates
 are still those of the full ``n_perm`` test.  The block's kernel call
 evaluates no permuted row.  One helper, ``_perm_exceedances``, draws and
 counts the random permutations of the engine and of
-``permutation_pvalue`` alike.  On a balanced design every stack is counted
-from each row's k group sums, a screen that calls the kernel only for rows
-too close to the threshold (or to degeneracy) to decide with certainty.
+``permutation_pvalue`` alike.  Every stack is counted from each row's k
+group sums (on an unbalanced design, with one more pass over the squared
+centred values), a screen that calls the kernel only for rows too close to
+the threshold (or to degeneracy) to decide with certainty.
 Every run of a scenario gives bit-identical results.
 """
 
@@ -274,44 +275,72 @@ def _stack_statistics(stacks, sizes: np.ndarray) -> Iterable[tuple[np.ndarray, n
 def _screened_statistics(stacks, sizes, y, j_obs) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """``(j, degenerate)`` of each (rows, n) stack of permutations of the
     values ``y`` with group sizes ``sizes``, as ``_stack_statistics`` gives
-    it, for ``_exceedances`` to count against ``j_obs``; on a balanced
-    design most rows are decided from their k group sums alone.
+    it, for ``_exceedances`` to count against ``j_obs``; most rows are
+    decided from their group sums alone, without the kernel.
 
-    A permutation keeps the total sum of squares SST, so with m values per
-    group J = k / (2 sqrt(M_n)) * (n (m - 1) SSB / (SST - SSB) - (n - m))
-    grows with SSB = q / m alone, q = sum_i (S_i - m mean(y))**2 over the
-    group sums S_i, and a row reaches ``_threshold(j_obs)`` iff q >= q*.
-    A row with q more than ``band`` from q* gets j = +inf (it counts) or
-    -inf (it does not).  ``band`` bounds the rounding errors of the
-    kernel's J and of q and q*, in units of q, from n max|y|**2 and SST.
-    The rows inside it, and those too close to q = m SST to rule out the
-    kernel's degeneracy flag, take the kernel's output, so every row
-    counts exactly as the kernel counts it.  Stacks of an unbalanced
-    design, or of values the kernel scales (max|y| outside [2**-256,
-    2**256]), take the kernel's output throughout."""
-    k, m, peak = sizes.shape[-1], int(sizes[0, 0]), float(np.maximum.reduce(np.abs(y)))
-    if (sizes != m).any() or not 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK:
+    A row reaches t = ``_threshold(j_obs)`` iff g = n SSB - sum_i a_i ss_i
+    >= 0, with ss_i group i's sum of squares about its mean and
+    a_i = ((n - n_i) + 2 t sqrt(M_n) n_i / n) / (n_i - 1): g is
+    2 sqrt(M_n) W_n (J - t).  A permutation keeps the mean and the total
+    sum of squares SST.  On a balanced design (m values per group) g grows
+    with SSB = q / m alone, q = sum_i (S_i - m mean(y))**2 over the group
+    sums S_i, so a row counts iff q >= q*.  On an unbalanced one each row
+    is centred, c = y - mean(y), and g = sum_i (n + a_i) S_i**2 / n_i -
+    sum_i a_i Q_i, with S_i and Q_i the sums of c and of c**2 over group
+    i: the S_i come from one ``reduceat`` pass and the second sum from one
+    product of c**2 with each value's a_i.  The within sum of squares is
+    SST - sum_i S_i**2 / n_i.
+
+    A row with q more than ``band`` from q*, or g more than ``band`` from
+    0, gets j = +inf (it counts) or -inf (it does not).  ``band`` bounds
+    the rounding errors of the kernel's J and of the screen, from n
+    max|y|**2 and SST.  The rows inside it, and those whose within sum of
+    squares is too small to rule out the kernel's degeneracy flag, take
+    the kernel's output, so every row counts exactly as the kernel counts
+    it.  Stacks of values the kernel scales (max|y| outside [2**-256,
+    2**256]) take the kernel's output throughout."""
+    k, peak = sizes.shape[-1], float(np.maximum.reduce(np.abs(y)))
+    if not 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK:
         yield from _stack_statistics(stacks, sizes)
         return
-    lay, mean = _design_layout(tuple(sizes[0].tolist())), np.add.reduce(y) / y.size
-    sst, center = float(np.add.reduce((y - mean) ** 2)), m * mean
-    # the threshold J = t as a ratio SSB / SSW = rho, then as q; rho < 0 (t
-    # below the least J) counts every row, as q* = 0 does with the band round it
-    rho = max(0.0, (2.0 * lay.root_m * _threshold(j_obs) / k + lay.n - m) / (lay.n * (m - 1)))
-    # Four rounding errors, in units of q: the kernel's J, q, SST and q*.  Each
-    # sum adds at most n + k terms of at most max|y|, so by Cauchy-Schwarz each
-    # error is at most m g / 4 (sqrt(P SST) + SST), P = n max|y|**2, to first
-    # order; m g**2 P covers the second order.
-    g, p = 8.0 * (lay.n + k + 2) * _EPS, lay.n * peak * peak
-    q_star, band = m * sst * rho / (1.0 + rho), m * g * (math.sqrt(p * sst) + sst + g * p)
+    lay, mean, t = _design_layout(tuple(sizes[0].tolist())), np.add.reduce(y) / y.size, _threshold(j_obs)
+    sst = float(np.add.reduce((y - mean) ** 2))
+    # The rounding error of a sum of squares that the kernel or the screen
+    # forms: each sum adds at most n + k terms of at most max|y|, so by
+    # Cauchy-Schwarz it is at most gamma / 4 (sqrt(P SST) + SST),
+    # P = n max|y|**2, to first order; gamma**2 P covers the second order.
+    gamma, p = 8.0 * (lay.n + k + 2) * _EPS, lay.n * peak * peak
+    err = gamma * (math.sqrt(p * sst) + sst + gamma * p)
+    if ((m := int(sizes[0, 0])) == sizes).all():
+        # t as a ratio SSB / SSW = rho, then as q; rho < 0 (t below the
+        # least J) counts every row, as q* = 0 does with the band round it
+        rho = max(0.0, (2.0 * lay.root_m * t / k + lay.n - m) / (lay.n * (m - 1)))
+        q_star, band, center = m * sst * rho / (1.0 + rho), m * err, m * mean
+
+        def decide(x):
+            # Matrix-vector products sum fastest, in whatever order they
+            # take: the bound holds for any order, and only the rows that
+            # reach the kernel depend on these bits, never a count.
+            q = ((x.reshape(-1, m) @ np.ones(m)).reshape(-1, k) - center) ** 2 @ np.ones(k)
+            return (q > q_star + band) & (q <= m * sst - 2.0 * band), q >= q_star - band
+    else:
+        base, slope = lay.others / lay.size1, 2.0 * lay.root_m / lay.n * lay.size / lay.size1
+        a = (base + t * slope)[0]
+        # each error enters g with a weight of at most n + max_i |a_i|; band
+        # leaves a factor 2 over the bound
+        band = 2.0 * (lay.n + float(np.max(base + abs(t) * slope))) * err
+        a_values = np.repeat(a, lay.counts)
+        weights = np.stack([lay.n + a, np.ones(k)], axis=1) / lay.size.T  # of S_i**2 in g and in SSB
+
+        def decide(x):
+            c = x - mean
+            parts = (np.add.reduceat(c, lay.starts, axis=-1) ** 2) @ weights
+            g = parts[:, 0] - np.multiply(c, c, out=c) @ a_values
+            return (g > band) & (sst - parts[:, 1] > 4.0 * err), g >= -band
     for x in stacks:
-        # Matrix-vector products sum fastest, in whatever order they take: the
-        # bound holds for any order, and only the rows that reach the kernel
-        # depend on these bits, never a count.
-        q = ((x.reshape(-1, m) @ np.ones(m)).reshape(-1, k) - center) ** 2 @ np.ones(k)
-        counted = (q > q_star + band) & (q <= m * sst - 2.0 * band)
+        counted, reach = decide(x)
         j, degenerate = np.where(counted, np.inf, -np.inf), np.zeros(len(x), bool)
-        if (near := (q >= q_star - band) & ~counted).any():
+        if (near := reach & ~counted).any():
             j[near], degenerate[near] = next(_stack_statistics([x[near]], sizes))
         yield j, degenerate
 
@@ -370,11 +399,12 @@ def permutation_pvalue(
     generator call per stack of at most 2**16 values, with the rows and the
     final generator state of one ``rng.permutation`` call per permutation.
     Exhaustive assignments are stacked here and counted by the same rule.
-    On a balanced design a permutation's statistic grows with the spread of
-    its k group sums alone, so each stack is counted from those sums; only
-    rows within a rounding-error bound of the threshold, or near
-    degeneracy, are evaluated by the kernel, and every count is the
-    kernel's.
+    Each stack is counted from its rows' group sums (``_screened_statistics``:
+    on a balanced design the spread of the k group sums decides a row, on an
+    unbalanced one the group sums of the centred values and one weighted
+    sum of their squares); only rows within a rounding-error bound of the
+    threshold, or near degeneracy, are evaluated by the kernel, and every
+    count is the kernel's.
     """
     j_obs = u_test(dataset, alpha).statistic  # raises DegenerateWithinVariance if undefined
     design, n, values = dataset.design, dataset.design.n, dataset.values
@@ -510,8 +540,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> RejectionTable:
     tail of the row's degrees of freedom for F), so they reject exactly
     where ``u_test`` and ``f_test`` would.  PERM's threshold is ``stop``,
     the largest count that rejects; each replicate draws and counts its
-    ``n_perm`` permutations as ``permutation_pvalue`` does (from group sums
-    on a balanced design), only while the count is at most ``stop``.  A
+    ``n_perm`` permutations as ``permutation_pvalue`` does (from group
+    sums), only while the count is at most ``stop``.  A
     degenerate replicate draws none; it is counted once and reported under
     every method.
 

@@ -176,6 +176,35 @@ class TestCmdTest:
         assert code == EXIT_OK
         assert out.encode() == (data / "perm-balanced.json").read_bytes()
 
+    def test_perm_unbalanced_golden(self, capsys):
+        """An unbalanced design's permutation report (9 groups of 2 to 60
+        values), byte for byte as committed in tests/data."""
+        data = Path(__file__).parent / "data"
+        argv = ["test", str(data / "perm-unbalanced.csv"), "--method", "perm", "--n-perm", "999"]
+        code, out, _ = _run(capsys, *argv, "--seed", "7")
+        assert code == EXIT_OK
+        assert out.encode() == (data / "perm-unbalanced.json").read_bytes()
+
+    @pytest.mark.parametrize("flags, env, named", [
+        (["--seed", "-1"], None, "--seed"),
+        (["--seed", str(2**64)], None, "--seed"),
+        ([], "-1", "$UVARTEST_SEED"),
+        (["--n-perm", "0"], None, "--n-perm"),
+        (["--n-perm", "-5", "--seed", "3"], None, "--n-perm"),
+        (["--alpha", "1.5"], None, "--alpha"),
+        (["--alpha", "nan"], None, "--alpha"),
+    ])
+    def test_errors_name_the_flag(self, worked_csv, capsys, monkeypatch, flags, env, named):
+        if env is not None:
+            monkeypatch.setenv("UVARTEST_SEED", env)
+        code, out, err = _run(capsys, "test", worked_csv, "--method", "perm", *flags)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err.startswith(f"error: {named} must be")
+
+    def test_largest_seed_accepted(self, worked_csv, capsys):
+        argv = ["test", worked_csv, "--method", "perm", "--n-perm", "9", "--seed", str(2**64 - 1)]
+        assert _run(capsys, *argv)[0] == EXIT_OK
+
     def test_perm_seed_env_default(self, worked_csv, capsys, monkeypatch):
         monkeypatch.setenv("UVARTEST_SEED", "5")
         _, out_env, _ = _run(capsys, "test", worked_csv, "--method", "perm", "--n-perm", "99")
@@ -492,6 +521,19 @@ class TestCmdSimulate:
         monkeypatch.delenv("UVARTEST_SEED")
         _run(capsys, "simulate", tiny_config, "--out", str(b), "--seed", "9")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags, env, named", [
+        (["--seed", "-1"], None, "--seed"),
+        ([], "-1", "$UVARTEST_SEED"),
+        ([], str(2**64), "$UVARTEST_SEED"),
+        (["--replicates", "0"], None, "--replicates"),
+    ])
+    def test_errors_name_the_flag(self, tiny_config, capsys, monkeypatch, flags, env, named):
+        if env is not None:
+            monkeypatch.setenv("UVARTEST_SEED", env)
+        code, out, err = _run(capsys, "simulate", tiny_config, *flags)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err.startswith(f"error: {named} must be")
 
     def test_replicates_override(self, tiny_config, tmp_path, capsys):
         out_file = tmp_path / "r.csv"

@@ -3,6 +3,7 @@ tail probabilities and moment formulas."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,6 +589,29 @@ class TestDesignConstantsMemo:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 _statistics(np.array([1.0, 2.0, bad, 4.0]), np.array([[2, 2]]))
+
+
+class TestKernelMemory:
+    """A kernel call holds one value-sized temporary at a time: the centred
+    values are built in the array that ``np.repeat`` returns and squared in
+    place.  Arrays of one entry per (row, group) come on top, eight of them
+    at most."""
+
+    @pytest.mark.parametrize("redrawn, k, lo, hi", [(False, 18, 2, 140), (True, 18, 2, 140), (True, 50, 5, 11)],
+                             ids=["one-design-stack", "redrawn-large-groups", "redrawn-groups-of-5-to-10"])
+    def test_traced_peak(self, redrawn, k, lo, hi):
+        rng = np.random.default_rng(41)
+        rows = 2**16 * 2 // (k * (lo + hi))  # about 2**16 values
+        sizes = rng.integers(lo, hi, (rows if redrawn else 1, k))
+        values = rng.standard_normal(int(sizes.sum()) * (1 if redrawn else rows))
+        _statistics(values, sizes)  # a design's constants are cached before tracing
+        tracemalloc.start()
+        try:
+            _statistics(values, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * values.nbytes + 8 * (rows * k * 8)
 
 
 class TestNormalSf:

@@ -967,6 +967,90 @@ class TestGroupSumScreen:
         assert _exceedances(_screened_statistics(stacks, design, y, j_obs), j_obs) == kernel
 
 
+class TestUnbalancedScreen:
+    """On an unbalanced design the screen counts from the group sums of the
+    centred values and of their squares, and gives every stack the kernel's
+    exceedance count, with and without ``stop``; rows of well-scaled data
+    are decided without the kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 12), min_size=2, max_size=12).filter(lambda s: len(set(s)) > 1),
+        offset=st.sampled_from([0.0, 2.0, -3.0, 1e3, 1e6, 1e8, -1e8]),
+        error_sd=st.sampled_from([1.0, 1e-3, 1e-15]),  # 1e-15: error variance 1e-30
+        dyadic=st.booleans(),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        stop=st.none() | st.integers(0, 20),
+    )
+    def test_counts_of_the_kernel(self, sizes, offset, error_sd, dyadic, shuffled, seed, stop):
+        rng = np.random.default_rng(seed)
+        design, k, n = np.array([sizes]), len(sizes), sum(sizes)
+        # dyadic: multiples of 1/4, exact in binary, so that ties are exact
+        draws = rng.integers(-4, 5, size=(2, n)) / 4.0 if dyadic else rng.standard_normal((2, n))
+        grouped = offset + np.repeat(draws[0, :k], sizes) + error_sd * draws[1]
+        y = grouped[rng.permutation(n)] if shuffled else grouped
+        observed = _statistics(y, design)
+        assume(not observed.degenerate[0])
+        j_obs = float(observed.j[0])
+
+        def reorders(x):
+            """Within-group reorders of the row x, with groups of equal
+            size relabelled among themselves."""
+            groups, rows = np.split(x, np.cumsum(sizes)[:-1]), []
+            for _ in range(15):
+                label = np.arange(k)
+                for size in set(sizes):
+                    same = np.flatnonzero(design[0] == size)
+                    label[same] = rng.permutation(same)
+                rows.append(np.concatenate([rng.permutation(groups[i]) for i in label]))
+            return np.array(rows)
+
+        # ties with the observed row, and rows as near degenerate as the errors
+        perms = y[np.array([rng.permutation(n) for _ in range(60)])]
+        stacks = [reorders(y), reorders(grouped), perms[:25], perms[25:]]
+        kernel = list(_stack_statistics(stacks, design))
+        screened = list(_screened_statistics(stacks, design, y, j_obs))
+        assert [_exceedances([o], j_obs) for o in screened] == [
+            _exceedances([o], j_obs) for o in kernel
+        ]
+        assert _exceedances(iter(screened), j_obs, stop) == _exceedances(iter(kernel), j_obs, stop)
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0, 1e6, -1e8])
+    def test_thresholds_on_the_rows(self, offset):
+        """A threshold within two ulps of a row's own J puts rows inside the
+        band: they take the kernel's output, and the counts are the
+        kernel's."""
+        rng = np.random.default_rng(7)
+        sizes = (2, 9, 4, 4, 11, 3, 7)
+        design = np.array([sizes])
+        y = offset + np.repeat(0.4 * rng.standard_normal(7), sizes) + rng.standard_t(4.1, sum(sizes))
+        stack = y[np.array([rng.permutation(y.size) for _ in range(40)])]
+        kernel = list(_stack_statistics([stack], design))
+        for target in kernel[0][0][:8].tolist():
+            for ulps in range(-2, 3):
+                t = target
+                for _ in range(abs(ulps)):
+                    t = np.nextafter(t, math.copysign(math.inf, ulps))
+                j_obs = t
+                for _ in range(4):  # _threshold(j_obs) == t, to an ulp
+                    j_obs += t - simlab._threshold(j_obs)
+                screened = list(_screened_statistics([stack], design, y, j_obs))
+                assert _exceedances(screened, j_obs) == _exceedances(kernel, j_obs)
+
+    @pytest.mark.parametrize("effect", [0.0, 0.5, 2.0])
+    def test_decides_well_scaled_rows_alone(self, effect, monkeypatch):
+        rng = np.random.default_rng(6)
+        sizes = (3, 7, 2, 12, 5, 9, 4, 60, 6)
+        design = np.array([sizes])
+        y = 2.0 + np.repeat(effect * rng.standard_normal(9), sizes) + rng.standard_t(4.1, sum(sizes))
+        j_obs = float(_statistics(y, design).j[0])
+        stacks = list(_permuted_stacks(rng, y, 999))
+        kernel = _exceedances(_stack_statistics(stacks, design), j_obs)
+        monkeypatch.setattr(simlab, "_stack_statistics", None)  # the kernel is never asked
+        assert _exceedances(_screened_statistics(stacks, design, y, j_obs), j_obs) == kernel
+
+
 class TestPresets:
     def test_names_covered(self):
         assert set(PRESET_NAMES) == {

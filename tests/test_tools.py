@@ -83,3 +83,10 @@ def test_uf_perm_skew_config_is_table2_skew_with_perm():
     spec = scenario_from_dict(config)
     assert spec == dataclasses.replace(preset("table2-skew"), name="uf-perm-skew",
                                        methods=("U", "F", "PERM"), n_perm=199)
+
+
+def test_uf_perm_uniform_t_config_is_table2_uniform_t_with_perm():
+    config = json.loads((TOOLS / "uf-perm-uniform-t.json").read_text(encoding="utf-8"))
+    spec = scenario_from_dict(config)
+    assert spec == dataclasses.replace(preset("table2-uniform-t"), name="uf-perm-uniform-t",
+                                       methods=("U", "F", "PERM"), n_perm=199)
