@@ -21,10 +21,12 @@ rows per generator call, but only until its decision is fixed; its rates
 are still those of the full ``n_perm`` test.  The block's kernel call
 evaluates no permuted row.  One helper, ``_perm_exceedances``, draws and
 counts the random permutations of the engine and of
-``permutation_pvalue`` alike.  Every stack is counted from each row's k
-group sums (on an unbalanced design, with one more pass over the squared
-centred values), a screen that calls the kernel only for rows too close to
-the threshold (or to degeneracy) to decide with certainty.
+``permutation_pvalue`` alike.  A PERM count is a sum of counts per stack:
+``_stack_counter`` sets up, once per observed row, the function that
+counts a stack's exceedances from each row's k group sums (on an
+unbalanced design, with one more pass over the squared centred values),
+and passes to the kernel only the rows too close to the threshold (or to
+degeneracy) to decide with certainty.
 Every run of a scenario gives bit-identical results.
 """
 
@@ -119,6 +121,9 @@ class ScenarioSpec:
         for gen in self.design_gens:
             if not isinstance(gen, tuple(_DESIGN_KINDS.values())):
                 raise TypeError(f"design_gens must hold design generators, got {gen!r}")
+        # a repeated (k, design) cell or grid value would repeat a table key
+        if len({(gen.k, gen.label) for gen in self.design_gens}) < len(self.design_gens):
+            raise ValueError("design_gens must not repeat a (k, design) cell")
         _check_alpha(self.alpha)
         if _set_integer(self, "replicates") < 1:
             raise ValueError("replicates must be at least 1")
@@ -128,6 +133,8 @@ class ScenarioSpec:
             raise ValueError("sigma_b2_grid must not be empty")
         if not all(0 <= v < math.inf for v in self.sigma_b2_grid):
             raise ValueError("sigma_b2_grid values must be finite and nonnegative")
+        if len(set(self.sigma_b2_grid)) < len(self.sigma_b2_grid):
+            raise ValueError("sigma_b2_grid values must not repeat")
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
@@ -247,39 +254,24 @@ def _threshold(j_obs: float) -> float:
     return j_obs - 1e-9 * max(1.0, abs(j_obs))
 
 
-def _exceedances(outputs: Iterable[tuple[np.ndarray, np.ndarray]], j_obs: float,
-                 stop: int | None = None) -> int:
-    """Number of permuted rows, over the ``(j, degenerate)`` kernel outputs
-    of one stack of them each, whose statistic ties or exceeds ``j_obs``.
-    A tie is a statistic within a relative 1e-9 of ``j_obs``; a degenerate
-    permuted row never counts.  With ``stop``, the count is returned as
-    soon as it passes ``stop``: the rest of the outputs cannot bring it
-    back to ``stop`` or below, and are never computed."""
-    threshold, exceed = _threshold(j_obs), 0
-    for j, degenerate in outputs:
-        exceed += int(np.count_nonzero(~degenerate & (j >= threshold)))
-        if stop is not None and exceed > stop:
-            break
-    return exceed
+def _kernel_count(x: np.ndarray, sizes: np.ndarray, t: float) -> int:
+    """Number of rows of the (rows, n) value stack ``x``, whose group sizes
+    are the (1, k) array ``sizes``, with a kernel statistic of at least
+    ``t``: one kernel call.  A degenerate row never counts."""
+    st = _statistics(x.ravel(), sizes)
+    return int(np.count_nonzero(~st.degenerate & (st.j >= t)))
 
 
-def _stack_statistics(stacks, sizes: np.ndarray) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """``(j, degenerate)`` of the kernel output of each (rows, n) value stack
-    of ``stacks``, whose group sizes are the (1, k) array ``sizes``: one
-    call per stack, made only when the output is asked for."""
-    for x in stacks:
-        st = _statistics(x.ravel(), sizes)
-        yield st.j, st.degenerate
-
-
-def _screened_statistics(stacks, sizes, y, j_obs) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """``(j, degenerate)`` of each (rows, n) stack of permutations of the
-    values ``y`` with group sizes ``sizes``, as ``_stack_statistics`` gives
-    it, for ``_exceedances`` to count against ``j_obs``; most rows are
+def _stack_counter(sizes: np.ndarray, y: np.ndarray, j_obs: float):
+    """The function that counts, in a (rows, n) stack of permutations of the
+    values ``y`` with group sizes the (1, k) array ``sizes``, the rows whose
+    statistic ties or exceeds ``j_obs``: the count ``_kernel_count`` gives
+    at t = ``_threshold(j_obs)``, a tie being a statistic within a relative
+    1e-9 of ``j_obs``.  The set-up below runs once; most rows are then
     decided from their group sums alone, without the kernel.
 
-    A row reaches t = ``_threshold(j_obs)`` iff g = n SSB - sum_i a_i ss_i
-    >= 0, with ss_i group i's sum of squares about its mean and
+    A row reaches t iff g = n SSB - sum_i a_i ss_i >= 0, with ss_i group
+    i's sum of squares about its mean and
     a_i = ((n - n_i) + 2 t sqrt(M_n) n_i / n) / (n_i - 1): g is
     2 sqrt(M_n) W_n (J - t).  A permutation keeps the mean and the total
     sum of squares SST.  On a balanced design (m values per group) g grows
@@ -292,18 +284,16 @@ def _screened_statistics(stacks, sizes, y, j_obs) -> Iterable[tuple[np.ndarray, 
     SST - sum_i S_i**2 / n_i.
 
     A row with q more than ``band`` from q*, or g more than ``band`` from
-    0, gets j = +inf (it counts) or -inf (it does not).  ``band`` bounds
-    the rounding errors of the kernel's J and of the screen, from n
-    max|y|**2 and SST.  The rows inside it, and those whose within sum of
-    squares is too small to rule out the kernel's degeneracy flag, take
-    the kernel's output, so every row counts exactly as the kernel counts
-    it.  Stacks of values the kernel scales (max|y| outside [2**-256,
-    2**256]) take the kernel's output throughout."""
-    k, peak = sizes.shape[-1], float(np.maximum.reduce(np.abs(y)))
+    0, is decided by the screen.  ``band`` bounds the rounding errors of the
+    kernel's J and of the screen, from n max|y|**2 and SST.  The rows
+    inside it, and those whose within sum of squares is too small to rule
+    out the kernel's degeneracy flag, go to ``_kernel_count``, so every row
+    counts exactly as the kernel counts it.  Stacks of values the kernel
+    scales (max|y| outside [2**-256, 2**256]) go to it whole."""
+    k, peak, t = sizes.shape[-1], float(np.maximum.reduce(np.abs(y))), _threshold(j_obs)
     if not 1.0 / _SAFE_PEAK <= peak <= _SAFE_PEAK:
-        yield from _stack_statistics(stacks, sizes)
-        return
-    lay, mean, t = _design_layout(tuple(sizes[0].tolist())), np.add.reduce(y) / y.size, _threshold(j_obs)
+        return lambda x: _kernel_count(x, sizes, t)
+    lay, mean = _design_layout(tuple(sizes[0].tolist())), np.add.reduce(y) / y.size
     sst = float(np.add.reduce((y - mean) ** 2))
     # The rounding error of a sum of squares that the kernel or the screen
     # forms: each sum adds at most n + k terms of at most max|y|, so by
@@ -316,12 +306,13 @@ def _screened_statistics(stacks, sizes, y, j_obs) -> Iterable[tuple[np.ndarray, 
         # least J) counts every row, as q* = 0 does with the band round it
         rho = max(0.0, (2.0 * lay.root_m * t / k + lay.n - m) / (lay.n * (m - 1)))
         q_star, band, center = m * sst * rho / (1.0 + rho), m * err, m * mean
+        ones_m, ones_k = np.ones(m), np.ones(k)
 
         def decide(x):
             # Matrix-vector products sum fastest, in whatever order they
             # take: the bound holds for any order, and only the rows that
             # reach the kernel depend on these bits, never a count.
-            q = ((x.reshape(-1, m) @ np.ones(m)).reshape(-1, k) - center) ** 2 @ np.ones(k)
+            q = ((x.reshape(-1, m) @ ones_m).reshape(-1, k) - center) ** 2 @ ones_k
             return (q > q_star + band) & (q <= m * sst - 2.0 * band), q >= q_star - band
     else:
         base, slope = lay.others / lay.size1, 2.0 * lay.root_m / lay.n * lay.size / lay.size1
@@ -337,12 +328,12 @@ def _screened_statistics(stacks, sizes, y, j_obs) -> Iterable[tuple[np.ndarray, 
             parts = (np.add.reduceat(c, lay.starts, axis=-1) ** 2) @ weights
             g = parts[:, 0] - np.multiply(c, c, out=c) @ a_values
             return (g > band) & (sst - parts[:, 1] > 4.0 * err), g >= -band
-    for x in stacks:
+
+    def count(x):
         counted, reach = decide(x)
-        j, degenerate = np.where(counted, np.inf, -np.inf), np.zeros(len(x), bool)
-        if (near := reach & ~counted).any():
-            j[near], degenerate[near] = next(_stack_statistics([x[near]], sizes))
-        yield j, degenerate
+        near = reach & ~counted
+        return int(np.count_nonzero(counted)) + (_kernel_count(x[near], sizes, t) if near.any() else 0)
+    return count
 
 
 def _permuted_stacks(rng: np.random.Generator, y: np.ndarray, count: int) -> Iterable[np.ndarray]:
@@ -361,16 +352,20 @@ def _permuted_stacks(rng: np.random.Generator, y: np.ndarray, count: int) -> Ite
 def _perm_exceedances(rng, y: np.ndarray, sizes, j_obs: float, n_perm: int, stop=None) -> int:
     """Exceedances of ``j_obs`` among ``n_perm`` random permutations of the
     values ``y``, with group sizes the (1, k) array ``sizes``, drawn from
-    ``rng`` by ``_permuted_stacks`` and counted by ``_exceedances`` through
-    ``_screened_statistics``.  With ``stop``, drawing ends once the count
-    passes it, and the first stack holds at most 3 (stop + 1) rows: most
-    rows whose p-value is above about a third pass ``stop`` by then.  The
-    rest go on in full stacks, since every further check costs a generator
-    call and a count, and makes a row's time depend on more of its data."""
-    rows = max(1, _CHUNK_VALUES // y.size)
+    ``rng`` by ``_permuted_stacks``: the sum of ``_stack_counter``'s counts
+    of the stacks.  With ``stop``, drawing ends once the sum passes it, and
+    the first stack holds at most 3 (stop + 1) rows: most rows whose
+    p-value is above about a third pass ``stop`` by then.  The rest go on
+    in full stacks, since every further check costs a generator call and a
+    count, and makes a row's time depend on more of its data."""
+    rows, count = max(1, _CHUNK_VALUES // y.size), _stack_counter(sizes, y, j_obs)
     first = min(n_perm, rows) if stop is None else min(3 * (stop + 1), n_perm, rows)
-    stacks = itertools.chain(_permuted_stacks(rng, y, first), _permuted_stacks(rng, y, n_perm - first))
-    return _exceedances(_screened_statistics(stacks, sizes, y, j_obs), j_obs, stop)
+    exceed = 0
+    for stack in itertools.chain(_permuted_stacks(rng, y, first), _permuted_stacks(rng, y, n_perm - first)):
+        exceed += count(stack)
+        if stop is not None and exceed > stop:
+            break
+    return exceed
 
 
 def permutation_pvalue(
@@ -398,9 +393,9 @@ def permutation_pvalue(
     the simulation engine's PERM uses: stacks of permuted values, one
     generator call per stack of at most 2**16 values, with the rows and the
     final generator state of one ``rng.permutation`` call per permutation.
-    Exhaustive assignments are stacked here and counted by the same rule.
-    Each stack is counted from its rows' group sums (``_screened_statistics``:
-    on a balanced design the spread of the k group sums decides a row, on an
+    Exhaustive assignments are stacked here.  Either way the count is the
+    sum of one counter's counts per stack (``_stack_counter``: on a
+    balanced design the spread of the k group sums decides a row, on an
     unbalanced one the group sums of the centred values and one weighted
     sum of their squares); only rows within a rounding-error bound of the
     threshold, or near degeneracy, are evaluated by the kernel, and every
@@ -422,7 +417,7 @@ def permutation_pvalue(
         chunks = iter(lambda: list(itertools.islice(assignments, rows)), [])
         stacks = (values[np.array(chunk)] for chunk in chunks)
         n_perm = total
-        exceed = _exceedances(_screened_statistics(stacks, sizes, values, j_obs), j_obs)
+        exceed = sum(map(_stack_counter(sizes, values, j_obs), stacks))
     else:
         if n_perm is None or (n_perm := _integer(n_perm, "n_perm")) < 1:
             raise ValueError("n_perm must be at least 1")
@@ -658,6 +653,11 @@ def preset(name: str) -> ScenarioSpec:
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "an array", Mapping: "an object"}
+# The keys of each config entry; a design's are "kind" and its class's fields.
+_SCENARIO_KEYS = ("name", "designs", "redraw_design_per_replicate", "b", "e", "mu", "sigma_b2_grid",
+                  "alpha", "replicates", "seed", "methods", "n_perm")
+_NOISE_KEYS = ("family", "variance", "df", "skew")
+_SEED_KEYS = ("master_seed", "stream_id")
 
 
 def _typed(value, kind: type, name: str, key: str | None = None):
@@ -687,6 +687,16 @@ def _read(entry: Mapping, key: str, kind: type, name: str, default=MISSING):
     return _typed(entry[key], kind, name, key)
 
 
+def _known(entry: Mapping, keys: Sequence[str], name: str) -> Mapping:
+    """The config entry ``name``, or a ValueError naming the first of its
+    keys outside ``keys``: a misspelled key would otherwise run a study
+    with its default."""
+    for key in entry:
+        if key not in keys:
+            raise ValueError(f"{name}: unknown key {key!r}; expected one of {sorted(keys)}")
+    return entry
+
+
 def _build(entry: str, make, /, *args, **kwargs):
     """``make(*args, **kwargs)``, with a ValueError it raises prefixed by the
     name of the config entry, as the readers above prefix theirs."""
@@ -705,11 +715,13 @@ def _design_gen_from_dict(entry, name: str) -> DesignGen:
         )
     cls = _DESIGN_KINDS[kind]
     hints = get_type_hints(cls)
+    _known(entry, ("kind", *(f.name for f in fields(cls))), name)
     args = [_read(entry, f.name, hints[f.name], name, f.default) for f in fields(cls)]
     return _build(name, cls, *args)
 
 
 def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
+    _known(entry, _NOISE_KEYS, name)
     return _build(
         name,
         NoiseSpec,
@@ -723,14 +735,16 @@ def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
     """Build a scenario from a parsed JSON configuration.
 
-    Every field is checked against its JSON type; a missing required key, a
-    value of the wrong type or one its class refuses raises ValueError
-    naming the entry."""
-    designs = _read(_typed(d, Mapping, "scenario"), "designs", list, "scenario")
+    Every field is checked against its JSON type; an unknown key, a missing
+    required key, a value of the wrong type or one its class refuses raises
+    ValueError naming the entry."""
+    designs = _read(_known(_typed(d, Mapping, "scenario"), _SCENARIO_KEYS, "scenario"), "designs", list,
+                    "scenario")
     design_gens = tuple(_design_gen_from_dict(g, f"designs[{i}]") for i, g in enumerate(designs))
     seed = d.get("seed", 0)
     if not isinstance(seed, Mapping):  # a bare integer is the master seed
         seed = {"master_seed": _read(d, "seed", int, "scenario", 0)}
+    _known(seed, _SEED_KEYS, "seed")
     grid = _read(d, "sigma_b2_grid", list, "scenario")
     return _build(
         "scenario",

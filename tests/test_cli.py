@@ -593,6 +593,9 @@ class TestCmdSimulate:
             ({**SMALL_CONFIG, "mu": math.inf}, "scenario"),
             ({**SMALL_CONFIG, "sigma_b2_grid": [0, 0.5, math.nan]}, "scenario"),
             ({**SMALL_CONFIG, "methods": ["U", "U", "PERM", "PERM"]}, "scenario"),
+            # repeated cells would share their table keys
+            ({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 10, "m": 5}] * 2}, "scenario"),
+            ({**SMALL_CONFIG, "sigma_b2_grid": [0, 0, 0.5]}, "scenario"),
         ],
         ids=[
             "float-seed",
@@ -611,6 +614,8 @@ class TestCmdSimulate:
             "mu-infinite",
             "grid-nan",
             "methods-repeated",
+            "design-repeated",
+            "grid-repeated",
         ],
     )
     def test_config_of_the_wrong_shape_exits_2(self, config, entry, tmp_path, capsys):
@@ -620,6 +625,26 @@ class TestCmdSimulate:
         assert code == EXIT_INPUT_ERROR
         assert err.startswith(f"error: invalid scenario config {path}: {entry}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("config", "entry", "key"),
+        [
+            ({**SMALL_CONFIG, "replicate": 50}, "scenario", "replicate"),
+            ({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 3, "m": 2, "lo": 2}]}, "designs[0]", "lo"),
+            ({**SMALL_CONFIG, "b": {"family": "normal", "varaince": 4.0}}, "b", "varaince"),
+            ({**SMALL_CONFIG, "e": {"family": "scaled_t", "df": 5, "Skew": None}}, "e", "Skew"),
+            ({**SMALL_CONFIG, "seed": {"masterseed": 7}}, "seed", "masterseed"),
+        ],
+        ids=["scenario", "design", "b", "e", "seed"],
+    )
+    def test_unknown_key_is_named(self, config, entry, key, tmp_path, capsys):
+        """A misspelled key would otherwise run a different study, with the
+        default of the key it misspells."""
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+        code, out, err = _run(capsys, "simulate", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith(f"error: invalid scenario config {path}: {entry}: unknown key {key!r}; ")
 
     @pytest.mark.parametrize(
         ("entry", "noise", "name"),

@@ -31,12 +31,12 @@ from uvartest.simlab import (
     PRESET_NAMES,
     RejectionTable,
     ScenarioSpec,
-    _exceedances,
     _iter_assignments,
+    _kernel_count,
+    _perm_exceedances,
     _perm_stop,
     _permuted_stacks,
-    _screened_statistics,
-    _stack_statistics,
+    _stack_counter,
     mc_se,
     permutation_pvalue,
     preset,
@@ -118,6 +118,22 @@ class TestScenarioValidation:
     def test_replicates(self):
         with pytest.raises(ValueError):
             _tiny_scenario(replicates=0)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [(Balanced(10, 5), Balanced(10, 5)),
+         (ShiftedGeometric(4, 0.3), Balanced(5, 2), ShiftedGeometric(4, 0.3, 2))],
+        ids=["balanced", "geometric-with-its-default"],
+    )
+    def test_repeated_design_cell(self, gens):
+        # the cells' rows would share their table keys
+        with pytest.raises(ValueError, match="design_gens must not repeat"):
+            _tiny_scenario(design_gens=gens)
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.0, 0.5), (0.5, 0.0, -0.0)], ids=["zero", "signed-zero"])
+    def test_repeated_grid_value(self, grid):
+        with pytest.raises(ValueError, match="sigma_b2_grid values must not repeat"):
+            _tiny_scenario(sigma_b2_grid=grid)
 
     @pytest.mark.parametrize("value", [True, False, 3.0, 19.5, "7", None, np.float64(3.0), np.True_])
     @pytest.mark.parametrize("name", ["replicates", "n_perm"])
@@ -278,7 +294,7 @@ class TestRunScenario:
                 streams.append(seed_seq)
                 return pcg64(seed_seq)
 
-            spec = _tiny_scenario(design_gens=(gen, gen), replicates=replicates)
+            spec = _tiny_scenario(design_gens=(gen, replace(gen, k=5)), replicates=replicates)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(np.random, "PCG64", counted)
                 table = run_scenario(spec)
@@ -504,7 +520,7 @@ class TestBatchedEngine:
         with b and e from ``sample_noise`` on the replicate's own stream,
         and nothing else.  With a head, PERM draws each replicate's first
         stack of permutations after the block's call, and its stacks reach
-        the kernel only through ``_stack_statistics``, here unrecorded.
+        the kernel only through ``_kernel_count``, here unrecorded.
         Rates could hide a last-bit difference; these bytes cannot."""
         spec = _tiny_scenario(
             # n = 900..1500 in the last cell: several blocks
@@ -523,11 +539,12 @@ class TestBatchedEngine:
             seen.append(values.copy())
             return _statistics(values, sizes)
 
-        def unrecorded(stacks, sizes):
-            return ((st.j, st.degenerate) for st in (_statistics(x.ravel(), sizes) for x in stacks))
+        def unrecorded(x, sizes, t):
+            st = _statistics(x.ravel(), sizes)
+            return int(np.count_nonzero(~st.degenerate & (st.j >= t)))
 
         monkeypatch.setattr(simlab, "_statistics", recorded)
-        monkeypatch.setattr(simlab, "_stack_statistics", unrecorded)
+        monkeypatch.setattr(simlab, "_kernel_count", unrecorded)
         run_scenario(spec)
         expected, blocks = [], 0
         for cell, gen in enumerate(spec.design_gens):
@@ -550,23 +567,22 @@ class TestBatchedEngine:
     def test_balanced_perm_kernel_input(self, e_variance, monkeypatch):
         """A balanced U+PERM run hands the kernel its replicates' rows in one
         call per block, and otherwise only the permuted rows that the
-        group-sum screen passes to ``_stack_statistics``, one call each."""
+        group-sum screen passes to ``_kernel_count``, one call each."""
         e_spec = NoiseSpec(NoiseFamily.NORMAL, e_variance)
         spec = _tiny_scenario(design_gens=(Balanced(10, 5),), e_spec=e_spec, sigma_b2_grid=(0.0, 0.5),
                               methods=("U", "PERM"), n_perm=199, replicates=100)
-        calls, stack_statistics = [], simlab._stack_statistics
+        calls, kernel_count = [], simlab._kernel_count
 
         def recorded(values, sizes):
             calls.append(values.tobytes())
             return _statistics(values, sizes)
 
-        def passed(stacks, sizes):
-            for x in stacks:
-                calls.append(("screened", x.tobytes()))
-                yield from stack_statistics([x], sizes)
+        def passed(x, sizes, t):
+            calls.append(("screened", x.tobytes()))
+            return kernel_count(x, sizes, t)
 
         monkeypatch.setattr(simlab, "_statistics", recorded)
-        monkeypatch.setattr(simlab, "_stack_statistics", passed)
+        monkeypatch.setattr(simlab, "_kernel_count", passed)
         table = run_scenario(spec)
         blocks, screened = [], 0
         for call in (it := iter(calls)):
@@ -866,7 +882,8 @@ class TestPermutationStacks:
 
 class TestExceedanceStop:
     """With ``stop``, the count equals the full count when that is at most
-    ``stop`` and passes ``stop`` otherwise, from no more stacks' outputs."""
+    ``stop`` and passes ``stop`` otherwise, from no more stacks than that
+    takes; every stack counts as the kernel counts it."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -882,19 +899,40 @@ class TestExceedanceStop:
         observed = _statistics(pooled, design)
         assume(not observed.degenerate[0])
         j_obs = float(observed.j[0])
-        perms = pooled[np.array([rng.permutation(n) for _ in range(count)])]
-        stacks = [perms[start:start + 7] for start in range(0, count, 7)]
-        outputs = list(_stack_statistics(stacks, design))
-        full = _exceedances(iter(outputs), j_obs)
-        draws = iter(outputs)
-        stopped = _exceedances(draws, j_obs, stop)
-        used = len(outputs) - sum(1 for _ in draws)
+        t, stack_counter = simlab._threshold(j_obs), simlab._stack_counter
+
+        def run(stop):
+            """The count of ``_perm_exceedances``, and the stacks it counted
+            with the kernel's count of each."""
+            stacks, kernel = [], []
+
+            def recorded(*args):
+                count_stack = stack_counter(*args)
+
+                def counted(x):
+                    stacks.append(x.copy())
+                    kernel.append(_kernel_count(x, design, t))
+                    exceed = count_stack(x)
+                    assert exceed == kernel[-1]
+                    return exceed
+                return counted
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simlab, "_CHUNK_VALUES", 7 * n)  # stacks of at most 7 rows
+                mp.setattr(simlab, "_stack_counter", recorded)
+                exceed = _perm_exceedances(np.random.default_rng(seed), pooled, design, j_obs, count, stop)
+            return exceed, np.concatenate(stacks), kernel
+
+        full, rows, kernel = run(None)
+        assert (full, len(rows)) == (sum(kernel), count)
+        stopped, used, kernel = run(stop)
         if full <= stop:
-            assert (stopped, used) == (full, len(outputs))
+            assert stopped == full and len(used) == count
         else:
             assert stop < stopped <= full
-            assert _exceedances(iter(outputs[:used - 1]), j_obs) <= stop
-        assert _exceedances(iter(outputs[:used]), j_obs) == stopped
+            assert sum(kernel[:-1]) <= stop
+        assert sum(kernel) == stopped
+        assert np.array_equal(used, rows[:len(used)])
 
 
 class TestPermStop:
@@ -911,6 +949,20 @@ class TestPermStop:
             if _perm_stop(alpha, n_perm) != np.count_nonzero(counts) - 1:
                 wrong.append(n_perm)
         assert not wrong
+
+
+def _kernel_counts(stacks, design, y, j_obs, stop, seed):
+    """Each stack's count by ``_stack_counter`` and by the kernel, then the
+    count of 60 random permutations of ``y`` with ``stop`` by
+    ``_perm_exceedances`` and by the kernel alone, from one ``seed``."""
+    t, count = simlab._threshold(j_obs), _stack_counter(design, y, j_obs)
+    screened = [count(x) for x in stacks] + [
+        _perm_exceedances(np.random.default_rng(seed), y, design, j_obs, 60, stop)]
+    kernel = [_kernel_count(x, design, t) for x in stacks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simlab, "_stack_counter", lambda sizes, y, j_obs: lambda x: _kernel_count(x, sizes, t))
+        kernel.append(_perm_exceedances(np.random.default_rng(seed), y, design, j_obs, 60, stop))
+    return screened, kernel
 
 
 class TestGroupSumScreen:
@@ -949,12 +1001,8 @@ class TestGroupSumScreen:
         # ties with the observed row, and rows as near degenerate as the errors
         perms = y[np.array([rng.permutation(k * m) for _ in range(60)])]
         stacks = [reorders(y), reorders(grouped), perms[:25], perms[25:]]
-        kernel = list(_stack_statistics(stacks, design))
-        screened = list(_screened_statistics(stacks, design, y, j_obs))
-        assert [_exceedances([o], j_obs) for o in screened] == [
-            _exceedances([o], j_obs) for o in kernel
-        ]
-        assert _exceedances(iter(screened), j_obs, stop) == _exceedances(iter(kernel), j_obs, stop)
+        screened, kernel = _kernel_counts(stacks, design, y, j_obs, stop, seed)
+        assert screened == kernel
 
     def test_decides_well_scaled_rows_alone(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -962,9 +1010,9 @@ class TestGroupSumScreen:
         y = 2.0 + np.repeat(0.5 * rng.standard_normal(10), 5) + rng.standard_normal(50)
         j_obs = float(_statistics(y, design).j[0])
         stacks = list(_permuted_stacks(rng, y, 999))
-        kernel = _exceedances(_stack_statistics(stacks, design), j_obs)
-        monkeypatch.setattr(simlab, "_stack_statistics", None)  # the kernel is never asked
-        assert _exceedances(_screened_statistics(stacks, design, y, j_obs), j_obs) == kernel
+        kernel = sum(_kernel_count(x, design, simlab._threshold(j_obs)) for x in stacks)
+        monkeypatch.setattr(simlab, "_kernel_count", None)  # the kernel is never asked
+        assert sum(map(_stack_counter(design, y, j_obs), stacks)) == kernel
 
 
 class TestUnbalancedScreen:
@@ -1009,12 +1057,8 @@ class TestUnbalancedScreen:
         # ties with the observed row, and rows as near degenerate as the errors
         perms = y[np.array([rng.permutation(n) for _ in range(60)])]
         stacks = [reorders(y), reorders(grouped), perms[:25], perms[25:]]
-        kernel = list(_stack_statistics(stacks, design))
-        screened = list(_screened_statistics(stacks, design, y, j_obs))
-        assert [_exceedances([o], j_obs) for o in screened] == [
-            _exceedances([o], j_obs) for o in kernel
-        ]
-        assert _exceedances(iter(screened), j_obs, stop) == _exceedances(iter(kernel), j_obs, stop)
+        screened, kernel = _kernel_counts(stacks, design, y, j_obs, stop, seed)
+        assert screened == kernel
 
     @pytest.mark.parametrize("offset", [0.0, 2.0, 1e6, -1e8])
     def test_thresholds_on_the_rows(self, offset):
@@ -1026,8 +1070,7 @@ class TestUnbalancedScreen:
         design = np.array([sizes])
         y = offset + np.repeat(0.4 * rng.standard_normal(7), sizes) + rng.standard_t(4.1, sum(sizes))
         stack = y[np.array([rng.permutation(y.size) for _ in range(40)])]
-        kernel = list(_stack_statistics([stack], design))
-        for target in kernel[0][0][:8].tolist():
+        for target in _statistics(stack.ravel(), design).j[:8].tolist():
             for ulps in range(-2, 3):
                 t = target
                 for _ in range(abs(ulps)):
@@ -1035,8 +1078,8 @@ class TestUnbalancedScreen:
                 j_obs = t
                 for _ in range(4):  # _threshold(j_obs) == t, to an ulp
                     j_obs += t - simlab._threshold(j_obs)
-                screened = list(_screened_statistics([stack], design, y, j_obs))
-                assert _exceedances(screened, j_obs) == _exceedances(kernel, j_obs)
+                kernel = _kernel_count(stack, design, simlab._threshold(j_obs))
+                assert _stack_counter(design, y, j_obs)(stack) == kernel
 
     @pytest.mark.parametrize("effect", [0.0, 0.5, 2.0])
     def test_decides_well_scaled_rows_alone(self, effect, monkeypatch):
@@ -1046,9 +1089,35 @@ class TestUnbalancedScreen:
         y = 2.0 + np.repeat(effect * rng.standard_normal(9), sizes) + rng.standard_t(4.1, sum(sizes))
         j_obs = float(_statistics(y, design).j[0])
         stacks = list(_permuted_stacks(rng, y, 999))
-        kernel = _exceedances(_stack_statistics(stacks, design), j_obs)
-        monkeypatch.setattr(simlab, "_stack_statistics", None)  # the kernel is never asked
-        assert _exceedances(_screened_statistics(stacks, design, y, j_obs), j_obs) == kernel
+        kernel = sum(_kernel_count(x, design, simlab._threshold(j_obs)) for x in stacks)
+        monkeypatch.setattr(simlab, "_kernel_count", None)  # the kernel is never asked
+        assert sum(map(_stack_counter(design, y, j_obs), stacks)) == kernel
+
+
+class TestRescaledValues:
+    """Values the kernel rescales (max|y| outside [2**-256, 2**256]) are
+    counted by the kernel alone.  Scaling by a power of two leaves every J
+    as it is, bit for bit, so the counts are those of the unscaled values:
+    random, exhaustive and with ``stop``, on balanced and unbalanced
+    designs."""
+
+    @pytest.mark.parametrize("sizes", [(4, 4, 4), (2, 3, 5), (3, 5, 2, 4), (5,) * 10, (2, 7, 3, 9, 4)])
+    def test_counts_of_the_unscaled_values(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        y = 2.0 + np.repeat(0.5 * rng.standard_normal(len(sizes)), sizes) + rng.standard_normal(sum(sizes))
+        design = np.array([sizes])
+
+        def counts(scale):
+            ds = Dataset(np.split(scale * y, np.cumsum(sizes)[:-1]))
+            j_obs = u_test(ds).statistic
+            stopped = [_perm_exceedances(np.random.default_rng(4), ds.values, design, j_obs, 999, stop)
+                       for stop in (0, 5, 49)]
+            exhaustive = permutation_pvalue(ds, exhaustive=True).extras if ds.design.n <= 12 else None
+            return permutation_pvalue(ds, 999, np.random.default_rng(3)).extras, stopped, exhaustive
+
+        unscaled = counts(1.0)
+        for scale in (2.0**300, 2.0**-300, 2.0**900):
+            assert counts(scale) == unscaled
 
 
 class TestPresets:
