@@ -67,57 +67,46 @@ _BLOCK_CHARS = 2**15
 
 def _csv_records(path: str, lines, lineno: int) -> tuple[list[str], list[float]]:
     """Treatments and values of the records in ``lines``, tokenised by
-    ``csv`` and checked one by one; ``lineno`` is the first one's line
-    number.  Raises InputError naming the first offending line."""
+    ``csv`` and checked one by one; ``lineno`` is the number of the first
+    line.  Blank lines are skipped.  Raises InputError naming the first line
+    of the first offending record: a quoted field may span lines."""
     labels, values = [], []
     reader = csv.reader(lines)
-    for lineno in itertools.count(lineno):
-        try:
-            row = next(reader)
-        except StopIteration:
-            return labels, values
-        except csv.Error as exc:  # a field past csv.field_size_limit()
-            raise InputError(f"{path}: line {lineno}: {exc}") from None
-        if len(row) != 2:
-            if not row:  # a blank line
-                continue
-            raise InputError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-        treatment, raw_value = row
-        if not treatment:
-            raise InputError(f"{path}: line {lineno}: empty treatment label")
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise InputError(
-                f"{path}: line {lineno}: value {raw_value!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
-            raise InputError(f"{path}: line {lineno}: value must be finite")
-        labels.append(treatment)
-        values.append(value)
+    start = lineno  # the first line of the next record
+    try:
+        for row in reader:
+            line, start = start, lineno + reader.line_num
+            if len(row) != 2:
+                if not row:  # a blank line
+                    continue
+                raise InputError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+            treatment, raw_value = row
+            if not treatment:
+                raise InputError(f"{path}: line {line}: empty treatment label")
+            try:
+                value = float(raw_value)
+            except ValueError:
+                raise InputError(
+                    f"{path}: line {line}: value {raw_value!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(f"{path}: line {line}: value must be finite")
+            labels.append(treatment)
+            values.append(value)
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise InputError(f"{path}: line {start}: {exc}") from None
+    return labels, values
 
 
-def _newlines(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 code units of ``text`` and where they are "\\n".  Neither ","
-    nor "\\n" is ever part of a longer UTF-8 character."""
-    code = np.frombuffer(text.encode(), np.uint8)
-    return code, code == 10  # ord("\n")
-
-
-def _split_block(block: str) -> tuple[list[str], np.ndarray, int] | None:
-    """Treatments, values and record count of ``block``, whole lines
-    without a quote, or None when a line fails a check ``_csv_records``
-    makes."""
+def _split_block(block: str) -> tuple[list[str], np.ndarray] | None:
+    """Treatments and values of ``block``, whole lines without a quote, or
+    None when a line is blank or fails a check ``_csv_records`` makes."""
     text = block.replace("\r\n", "\n").replace("\r", "\n") if "\r" in block else block
     if text and not text.endswith("\n"):  # the file's last line
         text += "\n"
-    code, newline = _newlines(text)
-    records = int(np.count_nonzero(newline))
-    if records and (newline[0] or (newline[1:] & newline[:-1]).any()):
-        text = text.lstrip("\n")  # blank lines are records without fields
-        while "\n\n" in text:
-            text = text.replace("\n\n", "\n")
-        code, newline = _newlines(text)
+    # UTF-8 code units: neither "," nor "\n" is ever part of a longer character.
+    code = np.frombuffer(text.encode(), np.uint8)
+    newline = code == 10  # ord("\n")
     rows = int(np.count_nonzero(newline))
     # Two fields a line: the separators run ",", "\n", ",", "\n", ...
     separators = code[newline | (code == 44)]  # ord(",")
@@ -133,15 +122,17 @@ def _split_block(block: str) -> tuple[list[str], np.ndarray, int] | None:
         return None
     if not np.isfinite(values).all():
         return None
-    return labels, values, records
+    return labels, values
 
 
 def _data_records(path: str, fh):
     """(treatments, values) of the data records of ``fh``, past the header,
     one block at a time.  A block holding a quote, a NUL (which ``csv``
-    refuses before Python 3.11), a line that could pass the field size
-    limit or a line that fails a check ends the blocks: the rest of the
-    file goes through ``_csv_records``, which reports the first bad line."""
+    refuses before Python 3.11), a blank line, a line that could pass the
+    field size limit or a line that fails a check ends the blocks: the rest
+    of the file goes through ``_csv_records``, which skips blank lines and
+    reports the first bad record.  Blocks of plain lines hold one record a
+    line, so the line number grows by their record count."""
     limit = csv.field_size_limit()
     lineno = 2
     # readline() ends each block at a line end: with newline="", it returns
@@ -152,16 +143,16 @@ def _data_records(path: str, fh):
             lines = itertools.chain(io.StringIO(block, newline=""), fh)
             yield _csv_records(path, lines, lineno)
             return
-        labels, values, records = split
-        yield labels, values
-        lineno += records
+        yield split
+        lineno += len(split[0])
 
 
 def _read_grouped_csv(path: str) -> Dataset:
     """Parse a long-form CSV into a dataset, groups in first-appearance order.
 
     A byte-order mark and blank lines are skipped.  Raises InputError naming
-    the offending line for malformed content.
+    the offending line for malformed content: a file line, counting blank
+    lines, and the first line of a record whose quoted field spans lines.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")

@@ -37,6 +37,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
@@ -127,6 +128,10 @@ class ScenarioSpec:
         _check_alpha(self.alpha)
         if _set_integer(self, "replicates") < 1:
             raise ValueError("replicates must be at least 1")
+        # a bool in sigma_b2_grid would run and write a table that does not read back
+        for name, value in (("mu", self.mu), *(("sigma_b2_grid", v) for v in self.sigma_b2_grid)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must hold real numbers, got {value!r}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not self.sigma_b2_grid:

@@ -237,8 +237,9 @@ def reference_run_scenario(spec):
 
 def reference_read_grouped_csv(path) -> list[tuple[str, list[float]]]:
     """(treatment, values) groups of a long-form CSV in first-appearance
-    order, read record by record with ``csv.reader`` and checked line by
-    line with the messages of ``uvartest test``; a ``csv.Error`` escapes."""
+    order, read record by record with ``csv.reader`` and checked with the
+    messages of ``uvartest test``, which name a record's first file line;
+    a ``csv.Error`` escapes."""
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -251,7 +252,9 @@ def reference_read_grouped_csv(path) -> list[tuple[str, list[float]]]:
             raise InputError(
                 f"{path}: expected header 'treatment,value', got {header!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        start = 2  # the first line of the next record; a quoted field may span lines
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if len(row) != 2:
                 if not row:  # a blank line
                     continue

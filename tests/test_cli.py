@@ -317,6 +317,20 @@ class TestCmdTest:
         assert code == EXIT_INPUT_ERROR
         assert "line 5" in err
 
+    @pytest.mark.parametrize("body, message", [
+        # lines 2-3 and 4-5 are one record each
+        ('"a\nb",1\n"a\nb",2\na,x\n', "line 6: value 'x' is not a number"),
+        ('"a\r\nb",1\r\n"a\r\nb",2\r\na,x\r\n', "line 6: value 'x' is not a number"),
+        # a record on lines 3-5 is named by its first line
+        ('"a\nb",1\n"a\nb\nc",2,3\n', "line 4: expected 2 fields, got 3"),
+    ], ids=["lf", "crlf", "record-on-three-lines"])
+    def test_multi_line_records_keep_file_line_numbers(self, tmp_path, capsys, body, message):
+        path = tmp_path / "spans.csv"
+        path.write_bytes(f"treatment,value\n{body}".encode())
+        code, _, err = _run(capsys, "test", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert f"{path}: {message}" in err
+
     def test_quoted_fields_accepted(self, tmp_path, capsys):
         path = tmp_path / "quoted.csv"
         path.write_text('"treatment","value"\n"a",0\na,"2"\n"b","1"\nb,3\n')
@@ -470,6 +484,59 @@ class TestCsvReader:
         path = tmp_path / "cut.csv"
         path.write_bytes(f"treatment,value{end}{body}{tail}a,7{end}".encode())
         _assert_same_reading(str(path))
+
+
+class TestCsvFastPath:
+    """Plain LF and CRLF files, as ``cli-test`` writes them, are read block
+    by block without the ``csv`` module; a blank line sends its block and
+    the rest of the file to ``_csv_records``."""
+
+    @staticmethod
+    def _lines(end: str) -> list[str]:
+        # distinct lines, enough for three blocks
+        rows = 3 * cli._BLOCK_CHARS // len("g0,1000000" + end) + 1
+        return ["treatment,value"] + [f"g{i % 3},{10**6 + i}" for i in range(rows)]
+
+    @staticmethod
+    def _groups(path) -> list[bytes]:
+        return [g.tobytes() for g in cli._read_grouped_csv(str(path)).groups]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_plain_file_skips_the_csv_module(self, tmp_path, monkeypatch, end):
+        path = tmp_path / "plain.csv"
+        lines = self._lines(end)
+        path.write_bytes("".join(line + end for line in lines).encode())
+
+        def refuse(*args):
+            raise AssertionError("_csv_records was called")
+
+        monkeypatch.setattr(cli, "_csv_records", refuse)
+        assert self._groups(path) == [np.array(v).tobytes() for _, v in reference_read_grouped_csv(path)]
+
+    def test_blank_line_sends_its_block_to_the_csv_module(self, tmp_path, monkeypatch):
+        lines = self._lines("\n")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("".join(line + "\n" for line in lines))
+        blank_at = len(lines) // 2  # a line of the second of three blocks
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("".join(line + "\n" for line in lines[:blank_at] + [""] + lines[blank_at:]))
+        calls = []
+        real = cli._csv_records
+
+        def spy(path, records, lineno):
+            first = next(records)
+            calls.append((lineno, first))
+            return real(path, itertools.chain([first], records), lineno)
+
+        monkeypatch.setattr(cli, "_csv_records", spy)
+        assert self._groups(gapped) == self._groups(plain)
+        [(lineno, first)] = calls
+        # from the first line of the second block, numbered as in the file:
+        # the first block is _BLOCK_CHARS characters and the rest of a line
+        assert first == lines[lineno - 1] + "\n"
+        first_block = sum(len(line) + 1 for line in lines[1:lineno - 1])
+        assert cli._BLOCK_CHARS <= first_block < cli._BLOCK_CHARS + len(first)
+        assert lineno <= blank_at + 1
 
 
 class TestCmdSimulate:

@@ -135,6 +135,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="sigma_b2_grid values must not repeat"):
             _tiny_scenario(sigma_b2_grid=grid)
 
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
+    @pytest.mark.parametrize("name", ["mu", "sigma_b2_grid"])
+    def test_mu_and_grid_must_be_numbers(self, name, value):
+        # sigma_b2 True would be written as "True", which from_csv refuses
+        with pytest.raises(TypeError, match=f"{name} must hold real numbers, got {value!r}"):
+            _tiny_scenario(**{name: value if name == "mu" else (0.0, value)})
+
+    def test_numbers_are_kept_as_given(self):
+        spec = _tiny_scenario(mu=2, sigma_b2_grid=(0, np.float64(0.5), np.int64(1)))
+        assert spec.mu == 2 and type(spec.mu) is int
+        assert [type(v) for v in spec.sigma_b2_grid] == [int, np.float64, np.int64]
+
     @pytest.mark.parametrize("value", [True, False, 3.0, 19.5, "7", None, np.float64(3.0), np.True_])
     @pytest.mark.parametrize("name", ["replicates", "n_perm"])
     def test_counts_must_be_integers(self, name, value):
