@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -640,8 +642,67 @@ def _critical(alpha: float, *df: float) -> float:
     return hi
 
 
+# How a field check names the classes a value may be an instance of.
+_NAMES = {float: "a real number", type(None): "None"}
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` (numpy integers are taken); a float, a string
+    or a bool raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+@functools.cache
+def _rule(kind) -> tuple:
+    """How :func:`_of_kind` checks a value of the annotation ``kind``: (None,
+    None) for ``int``; else the classes the value may be an instance of (a
+    union's members, with ``float`` widened to every real number) and, for
+    ``tuple[X, ...]``, the rule of its entries X, else None."""
+    if kind is int:
+        return None, None
+    if get_origin(kind) is tuple:
+        return (tuple,), _rule(get_args(kind)[0])
+    types = get_args(kind) or (kind,)
+    return ((*types, numbers.Real) if float in types else types), None
+
+
+@functools.cache
+def _field_kinds(cls: type) -> tuple[tuple[str, object, tuple], ...]:
+    """(name, annotation, rule) of each field of the dataclass ``cls``, read
+    once."""
+    return tuple((f.name, t, _rule(t)) for f in fields(cls) for t in [get_type_hints(cls)[f.name]])
+
+
+def _of_kind(value, rule: tuple, name: str):
+    """``value`` as a field ``name`` with the ``rule`` of its annotation
+    stores it, or a TypeError naming ``name``: an ``int`` by
+    :func:`_integer`; a ``float`` any real number but a bool, as given; a
+    tuple of X with each entry checked as an X and named by its index; any
+    other value as given if it is an instance of the annotation (or of a
+    member of the union)."""
+    types, entry = rule
+    if types is None:
+        return _integer(value, name)
+    if type(value) in types or isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        if entry is None:
+            return value
+        return tuple([_of_kind(v, entry, f"{name}[{i}]") for i, v in enumerate(value)])
+    what = " or ".join(_NAMES.get(t, f"a {t.__name__}") for t in types if t is not numbers.Real)
+    raise TypeError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_fields(obj) -> None:
+    """Check each field of the frozen dataclass ``obj`` by its annotation
+    and store it as :func:`_of_kind` gives it; README's "Field types"
+    paragraph states the rule."""
+    for name, _, rule in _field_kinds(type(obj)):
+        object.__setattr__(obj, name, _of_kind(getattr(obj, name), rule, name))
+
+
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _of_kind(alpha, _rule(float), "alpha") < 1.0:
         raise ValueError("alpha must be in (0, 1)")
 
 

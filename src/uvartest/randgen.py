@@ -27,7 +27,7 @@ from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
-from .core import Design
+from .core import Design, _check_fields, _integer
 
 __all__ = [
     "SeedSpec",
@@ -64,21 +64,6 @@ _CHUNK = 1024
 # (on a 2-core x86_64 VM, 2 streams took 36 against 33 us, 3 took 36 against
 # 47, 4 took 37 against 65).
 _BATCH_MIN = 3
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int`` (numpy integers are taken); a float, a string
-    or a bool raises TypeError naming ``name``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _set_integer(obj, name: str) -> int:
-    """Field ``name`` of the frozen dataclass ``obj``, set to its value as an
-    ``int`` by :func:`_integer`."""
-    object.__setattr__(obj, name, _integer(getattr(obj, name), name))
-    return getattr(obj, name)
 
 
 def _word_count(value: int) -> int:
@@ -118,15 +103,16 @@ def __getattr__(name: str):
 class SeedSpec:
     """Root of a family of independent, reproducible random streams.
 
-    Both fields are integers in 0..2**64 - 1 (numpy integers are taken as
-    ``int``); a float, a string or a bool raises TypeError."""
+    Both fields are integers in 0..2**64 - 1; their types are checked as
+    README's "Field types" paragraph states."""
 
     master_seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         for name in ("master_seed", "stream_id"):
-            if not 0 <= _set_integer(self, name) <= _UINT64_MAX:
+            if not 0 <= getattr(self, name) <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
     def seed_sequence(self, *path: int) -> np.random.SeedSequence:
@@ -202,6 +188,7 @@ class NoiseSpec:
     exact mean, divides by its exact standard deviation and rescales to
     variance v.  A target variance of 0 is the point mass at zero, used for
     null-hypothesis grids.  ``df`` (above 2) and ``skew`` must be finite.
+    Field types are checked as README's "Field types" paragraph states.
     """
 
     family: NoiseFamily
@@ -210,6 +197,7 @@ class NoiseSpec:
     skew: float | None = None
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not (math.isfinite(self.target_variance) and self.target_variance >= 0):
             raise ValueError("target_variance must be finite and nonnegative")
         if self.family is NoiseFamily.NORMAL:
@@ -220,13 +208,11 @@ class NoiseSpec:
                 raise ValueError(f"scaled-t noise needs a finite df > 2, got {self.df!r}")
             if self.skew is not None:
                 raise ValueError("scaled-t noise takes no asymmetry parameter")
-        elif self.family is NoiseFamily.SKEW_T_STD:
+        else:
             if self.df is None or not 2 < self.df < math.inf:
                 raise ValueError(f"skew-t noise needs a finite df > 2, got {self.df!r}")
             if self.skew is None or not math.isfinite(self.skew):
                 raise ValueError(f"skew-t noise needs a finite skew, got {self.skew!r}")
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown noise family {self.family!r}")
 
     def with_variance(self, target_variance: float) -> "NoiseSpec":
         """Same family and shape, different variance."""
@@ -339,7 +325,8 @@ def sample_noise(spec: NoiseSpec, count: int, seed: "SeedSpec | np.random.Genera
 
 @dataclass(frozen=True)
 class Balanced:
-    """Every one of the k groups has exactly m observations."""
+    """Every one of the k groups has exactly m observations.  Field types
+    are checked as README's "Field types" paragraph states."""
 
     kind: ClassVar[str] = "balanced"
     # whether ``sizes`` draws from its generator
@@ -348,9 +335,10 @@ class Balanced:
     m: int
 
     def __post_init__(self) -> None:
-        if _set_integer(self, "k") < 2:
+        _check_fields(self)
+        if self.k < 2:
             raise ValueError("need at least 2 groups")
-        if _set_integer(self, "m") < 2:
+        if self.m < 2:
             raise ValueError("need at least 2 observations per group")
 
     @cached_property
@@ -367,7 +355,8 @@ class ShiftedGeometric:
     """Group sizes are shift + G with G geometric on {0, 1, ...}.
 
     The success probability is ``p``; the smallest possible size is
-    ``shift``, which must be at least 2.
+    ``shift``, which must be at least 2.  Field types are checked as
+    README's "Field types" paragraph states.
     """
 
     kind: ClassVar[str] = "geometric"
@@ -377,11 +366,12 @@ class ShiftedGeometric:
     shift: int = 2
 
     def __post_init__(self) -> None:
-        if _set_integer(self, "k") < 2:
+        _check_fields(self)
+        if self.k < 2:
             raise ValueError("need at least 2 groups")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        if _set_integer(self, "shift") < 2:
+        if self.shift < 2:
             raise ValueError("shift must be at least 2 to keep groups testable")
 
     @cached_property
@@ -397,7 +387,8 @@ class ShiftedGeometric:
 
 @dataclass(frozen=True)
 class UniformSizes:
-    """Group sizes drawn uniformly from the integers lo..hi inclusive."""
+    """Group sizes drawn uniformly from the integers lo..hi inclusive.
+    Field types are checked as README's "Field types" paragraph states."""
 
     kind: ClassVar[str] = "uniform"
     draws: ClassVar[bool] = True
@@ -406,11 +397,12 @@ class UniformSizes:
     hi: int
 
     def __post_init__(self) -> None:
-        if _set_integer(self, "k") < 2:
+        _check_fields(self)
+        if self.k < 2:
             raise ValueError("need at least 2 groups")
-        if _set_integer(self, "lo") < 2:
+        if self.lo < 2:
             raise ValueError("lo must be at least 2 to keep groups testable")
-        if _set_integer(self, "hi") < self.lo:
+        if self.hi < self.lo:
             raise ValueError("hi must be at least lo")
 
     @cached_property

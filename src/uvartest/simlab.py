@@ -37,16 +37,15 @@ import io
 import itertools
 import json
 import math
-import numbers
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (_EPS, _SAFE_PEAK, Dataset, TestResult, _check_alpha, _design_layout,
-                   _rejections, _statistics, u_test)
+from .core import (_EPS, _SAFE_PEAK, Dataset, TestResult, _check_alpha, _check_fields, _design_layout,
+                   _field_kinds, _integer, _of_kind, _rejections, _rule, _statistics, u_test)
 from .randgen import (
     _DESIGN_KINDS,
     Balanced,
@@ -57,11 +56,9 @@ from .randgen import (
     ShiftedGeometric,
     UniformSizes,
     _draw_noise,
-    _integer,
     _one_call,
     _resolve_rng,
     _scale_noise,
-    _set_integer,
 )
 
 __all__ = [
@@ -98,6 +95,8 @@ class ScenarioSpec:
     shape of the group effects, with its variance replaced by the grid
     value cell by cell; ``e_spec`` is used as-is for the within-group
     errors.  ``n_perm`` only matters when "PERM" is among the methods.
+    Field types are checked as README's "Field types" paragraph states:
+    numbers are kept as given, so a table writes them as they were passed.
     """
 
     name: str
@@ -114,24 +113,15 @@ class ScenarioSpec:
     n_perm: int = 199
 
     def __post_init__(self) -> None:
-        for name, kind in (("seed", SeedSpec), ("b_spec", NoiseSpec), ("e_spec", NoiseSpec)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+        _check_fields(self)
         if not self.design_gens:
             raise ValueError("at least one design generator is required")
-        for gen in self.design_gens:
-            if not isinstance(gen, tuple(_DESIGN_KINDS.values())):
-                raise TypeError(f"design_gens must hold design generators, got {gen!r}")
         # a repeated (k, design) cell or grid value would repeat a table key
         if len({(gen.k, gen.label) for gen in self.design_gens}) < len(self.design_gens):
             raise ValueError("design_gens must not repeat a (k, design) cell")
         _check_alpha(self.alpha)
-        if _set_integer(self, "replicates") < 1:
+        if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        # a bool in sigma_b2_grid would run and write a table that does not read back
-        for name, value in (("mu", self.mu), *(("sigma_b2_grid", v) for v in self.sigma_b2_grid)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must hold real numbers, got {value!r}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not self.sigma_b2_grid:
@@ -147,7 +137,7 @@ class ScenarioSpec:
                 raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError("methods must not repeat")
-        if _set_integer(self, "n_perm") < 1 and "PERM" in self.methods:
+        if self.n_perm < 1 and "PERM" in self.methods:
             raise ValueError("n_perm must be at least 1")
 
 
@@ -165,8 +155,7 @@ class RejectionCell:
     replicates: int
 
 
-_CSV_COLUMNS = tuple(f.name for f in fields(RejectionCell))
-_CSV_TYPES = tuple(get_type_hints(RejectionCell)[name] for name in _CSV_COLUMNS)
+_CSV_COLUMNS, _CSV_TYPES, _ = zip(*_field_kinds(RejectionCell))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,8 +223,9 @@ class RejectionTable:
 
 def mc_se(rate: float, n: int) -> float:
     """Monte Carlo standard error of a proportion: sqrt(rate(1-rate)/n).
-    ``n`` must be an integer (TypeError otherwise) of at least 1."""
-    if not 0.0 <= rate <= 1.0:
+    ``rate`` must be a real number other than a bool and ``n`` an integer
+    (TypeError otherwise), of at least 1."""
+    if not 0.0 <= _of_kind(rate, _rule(float), "rate") <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     if _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
@@ -656,8 +646,7 @@ def preset(name: str) -> ScenarioSpec:
 # Configuration (de)serialization, used by the command-line front end
 # --------------------------------------------------------------------------
 
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
-               str: "a string", list: "an array", Mapping: "an object"}
+_JSON_TYPES = {str: "a string", list: "an array", Mapping: "an object"}
 # The keys of each config entry; a design's are "kind" and its class's fields.
 _SCENARIO_KEYS = ("name", "designs", "redraw_design_per_replicate", "b", "e", "mu", "sigma_b2_grid",
                   "alpha", "replicates", "seed", "methods", "n_perm")
@@ -667,23 +656,21 @@ _SEED_KEYS = ("master_seed", "stream_id")
 
 def _typed(value, kind: type, name: str, key: str | None = None):
     """``value`` (field ``key`` of the config entry ``name``, or the entry
-    itself) as the JSON type ``kind``, or a ValueError naming both.  An
-    integer is a number, and an integral number such as 3.0 is an integer;
-    a boolean is neither."""
-    if isinstance(value, bool) == (kind is bool):
-        if kind is float and isinstance(value, int):
-            return float(value)
-        if kind is int and isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, kind):
-            return value
-    what = "" if key is None else f" {key!r}"
-    raise ValueError(f"{name}:{what} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    itself) read as type ``kind``.  A string, an array or an object must be
+    one, or a ValueError names both.  An integer read as a float becomes a
+    float, and an integral float such as 3.0 read as an int an int; the
+    class that the entry builds checks every other type."""
+    if kind in _JSON_TYPES and not isinstance(value, kind):
+        what = "" if key is None else f" {key!r}"
+        raise ValueError(f"{name}:{what} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    if kind is float and type(value) is int:
+        return float(value)
+    return int(value) if kind is int and isinstance(value, float) and value.is_integer() else value
 
 
 def _read(entry: Mapping, key: str, kind: type, name: str, default=MISSING):
-    """Field ``key`` of the config entry ``name`` as the JSON type ``kind``.
-    A missing key takes ``default`` and is an error without one; a key whose
+    """Field ``key`` of the config entry ``name``, read as type ``kind`` by
+    :func:`_typed`.  A missing key takes ``default`` and is an error without one; a key whose
     default is null may be null."""
     if key not in entry or (entry[key] is None and default is None):
         if default is MISSING:
@@ -703,11 +690,12 @@ def _known(entry: Mapping, keys: Sequence[str], name: str) -> Mapping:
 
 
 def _build(entry: str, make, /, *args, **kwargs):
-    """``make(*args, **kwargs)``, with a ValueError it raises prefixed by the
-    name of the config entry, as the readers above prefix theirs."""
+    """``make(*args, **kwargs)``, with a TypeError or ValueError it raises
+    as a ValueError prefixed by the name of the config entry, as the readers
+    above prefix theirs."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{entry}: {exc}") from None
 
 
@@ -719,37 +707,30 @@ def _design_gen_from_dict(entry, name: str) -> DesignGen:
             f"{name}: unknown design kind {kind!r}; expected one of {sorted(_DESIGN_KINDS)}"
         )
     cls = _DESIGN_KINDS[kind]
-    hints = get_type_hints(cls)
     _known(entry, ("kind", *(f.name for f in fields(cls))), name)
-    args = [_read(entry, f.name, hints[f.name], name, f.default) for f in fields(cls)]
+    defaults = [f.default for f in fields(cls)]
+    args = [_read(entry, key, t, name, d) for (key, t, _), d in zip(_field_kinds(cls), defaults)]
     return _build(name, cls, *args)
 
 
 def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
-    _known(entry, _NOISE_KEYS, name)
-    return _build(
-        name,
-        NoiseSpec,
-        family=_build(name, NoiseFamily, _read(entry, "family", str, name)),
-        target_variance=_read(entry, "variance", float, name, 1.0),
-        df=_read(entry, "df", float, name, None),
-        skew=_read(entry, "skew", float, name, None),
-    )
+    """A noise spec from its config keys, which name NoiseSpec's fields in
+    order; each shape key takes its field's default."""
+    family = _build(name, NoiseFamily, _read(_known(entry, _NOISE_KEYS, name), "family", str, name))
+    shape = [_read(entry, key, float, name, f.default) for key, f in zip(_NOISE_KEYS[1:], fields(NoiseSpec)[1:])]
+    return _build(name, NoiseSpec, family, *shape)
 
 
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
     """Build a scenario from a parsed JSON configuration.
 
-    Every field is checked against its JSON type; an unknown key, a missing
-    required key, a value of the wrong type or one its class refuses raises
-    ValueError naming the entry."""
+    An unknown key, a missing required key, a value of the wrong type or
+    one its class refuses raises ValueError naming the entry."""
     designs = _read(_known(_typed(d, Mapping, "scenario"), _SCENARIO_KEYS, "scenario"), "designs", list,
                     "scenario")
     design_gens = tuple(_design_gen_from_dict(g, f"designs[{i}]") for i, g in enumerate(designs))
-    seed = d.get("seed", 0)
-    if not isinstance(seed, Mapping):  # a bare integer is the master seed
-        seed = {"master_seed": _read(d, "seed", int, "scenario", 0)}
-    _known(seed, _SEED_KEYS, "seed")
+    seed = d.get("seed", 0)  # a bare integer is the master seed
+    seed = _known(seed if isinstance(seed, Mapping) else {"master_seed": seed}, _SEED_KEYS, "seed")
     grid = _read(d, "sigma_b2_grid", list, "scenario")
     return _build(
         "scenario",
@@ -760,15 +741,10 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
         b_spec=_noise_spec_from_dict(_read(d, "b", Mapping, "scenario"), "b"),
         e_spec=_noise_spec_from_dict(_read(d, "e", Mapping, "scenario"), "e"),
         mu=_read(d, "mu", float, "scenario", 0.0),
-        sigma_b2_grid=tuple(_typed(v, float, f"sigma_b2_grid[{i}]") for i, v in enumerate(grid)),
+        sigma_b2_grid=tuple(_typed(v, float, "scenario") for v in grid),
         alpha=_read(d, "alpha", float, "scenario", 0.05),
         replicates=_read(d, "replicates", int, "scenario", 10_000),
-        seed=_build(
-            "seed",
-            SeedSpec,
-            _read(seed, "master_seed", int, "seed", 0),
-            _read(seed, "stream_id", int, "seed", 0),
-        ),
+        seed=_build("seed", SeedSpec, *(_read(seed, key, int, "seed", 0) for key in _SEED_KEYS)),
         methods=tuple(_read(d, "methods", list, "scenario", ["U"])),
         n_perm=_read(d, "n_perm", int, "scenario", 199),
     )

@@ -642,6 +642,10 @@ class TestCmdSimulate:
             ({**SMALL_CONFIG, "replicates": 2.5}, "scenario"),
             ({**SMALL_CONFIG, "replicates": True}, "scenario"),
             ({**SMALL_CONFIG, "methods": "U"}, "scenario"),
+            ({**SMALL_CONFIG, "methods": ["U", 1]}, "scenario"),
+            ({**SMALL_CONFIG, "methods": [None]}, "scenario"),
+            ({**SMALL_CONFIG, "seed": 1.5}, "seed"),
+            ({**SMALL_CONFIG, "b": {"family": "normal", "variance": "1"}}, "b"),
             # values of the right type that a constructor refuses
             ({**SMALL_CONFIG, "e": {"family": "cauchy"}}, "e"),
             ({**SMALL_CONFIG, "seed": -1}, "seed"),
@@ -673,6 +677,10 @@ class TestCmdSimulate:
             "fractional-replicates",
             "boolean-replicates",
             "methods-as-string",
+            "methods-holding-a-number",
+            "methods-holding-null",
+            "fractional-bare-seed",
+            "variance-as-string",
             "unknown-noise-family",
             "negative-seed",
             "one-group-in-second-design",

@@ -5,10 +5,12 @@ import io
 import itertools
 import math
 import pickle
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -96,6 +98,17 @@ class TestMcSe:
             mc_se(0.5, n)
         assert mc_se(0.5, np.int64(100)) == mc_se(0.5, 100)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rate", "0.5"), ("rate", None), ("rate", True), ("alpha", "0.05"), ("alpha", None)],
+    )
+    def test_rate_and_alpha_must_be_numbers(self, name, value):
+        # each would otherwise fail with a bare "'<' not supported" comparison error
+        dataset = Dataset([[1.0, 2.0], [3.0, 5.0]])
+        with pytest.raises(TypeError, match=f"{name} must be a real number, got {re.escape(repr(value))}"):
+            mc_se(value, 10) if name == "rate" else u_test(dataset, alpha=value)
+        assert mc_se(np.float64(0.5), 100) == mc_se(1 / 2, 100)
+
 
 class TestScenarioValidation:
     def test_alpha_range(self):
@@ -139,7 +152,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("name", ["mu", "sigma_b2_grid"])
     def test_mu_and_grid_must_be_numbers(self, name, value):
         # sigma_b2 True would be written as "True", which from_csv refuses
-        with pytest.raises(TypeError, match=f"{name} must hold real numbers, got {value!r}"):
+        named = "mu" if name == "mu" else "sigma_b2_grid[1]"
+        with pytest.raises(TypeError, match=re.escape(f"{named} must be a real number, got {value!r}")):
             _tiny_scenario(**{name: value if name == "mu" else (0.0, value)})
 
     def test_numbers_are_kept_as_given(self):
@@ -167,7 +181,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("entry", ["x", None, {"kind": "balanced", "k": 4, "m": 3}])
     def test_design_gens_must_be_design_generators(self, entry):
         # each would otherwise fail deep in run_scenario with an AttributeError
-        with pytest.raises(TypeError, match="design_gens must hold design generators"):
+        message = "design_gens[1] must be a Balanced or a ShiftedGeometric or a UniformSizes, got "
+        with pytest.raises(TypeError, match=re.escape(message)):
             _tiny_scenario(design_gens=(Balanced(4, 3), entry))
 
     def test_numpy_integer_counts_become_int(self):
@@ -175,6 +190,64 @@ class TestScenarioValidation:
         assert type(spec.replicates) is int and type(spec.n_perm) is int
         plain = _tiny_scenario(replicates=20, n_perm=19, methods=("U", "PERM"))
         assert run_scenario(spec).to_csv_string() == run_scenario(plain).to_csv_string()
+
+
+# A valid value for each field of the classes whose fields are checked by
+# their annotations.
+_VALID_FIELDS = {
+    SeedSpec: dict(master_seed=1, stream_id=2),
+    NoiseSpec: dict(family=NoiseFamily.SKEW_T_STD, target_variance=1.0, df=4.1, skew=1.0),
+    Balanced: dict(k=4, m=3),
+    ShiftedGeometric: dict(k=4, p=0.3, shift=2),
+    UniformSizes: dict(k=4, lo=2, hi=5),
+    ScenarioSpec: dict(name="tiny", design_gens=(Balanced(4, 3),), redraw_design_per_replicate=False,
+                       b_spec=_NORMAL, e_spec=_NORMAL, mu=2.0, sigma_b2_grid=(0.0, 1.0), alpha=0.05,
+                       replicates=30, seed=SeedSpec(123), methods=("U", "F"), n_perm=19),
+}
+
+
+def _wrong_type(kind, valid):
+    """A value of the wrong type for a field annotated ``kind``: a string for
+    a number, a list for a tuple, an integer for anything else."""
+    if kind in (int, float, float | None):
+        return str(valid)
+    return list(valid) if get_origin(kind) is tuple else 1
+
+
+class TestFieldTypes:
+    """Every field of the specs is checked against its annotation."""
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(cls, f.name) for cls in _VALID_FIELDS for f in fields(cls)],
+        ids=lambda x: x.__name__ if isinstance(x, type) else x,
+    )
+    def test_every_field_refuses_a_wrong_type(self, cls, name):
+        valid = _VALID_FIELDS[cls]
+        assert cls(**valid) is not None and set(valid) == {f.name for f in fields(cls)}
+        wrong = _wrong_type(get_type_hints(cls)[name], valid[name])
+        with pytest.raises(TypeError, match=f"^{name} must be "):
+            cls(**{**valid, name: wrong})
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: _tiny_scenario(name=5), "name"),
+            (lambda: _tiny_scenario(redraw_design_per_replicate="no"), "redraw_design_per_replicate"),
+            (lambda: _tiny_scenario(methods=["U"]), "methods"),
+            (lambda: _tiny_scenario(alpha="0.05"), "alpha"),
+            (lambda: NoiseSpec(NoiseFamily.NORMAL, True), "target_variance"),
+            (lambda: NoiseSpec(NoiseFamily.NORMAL, "1"), "target_variance"),
+            (lambda: ShiftedGeometric(4, "0.3"), "p"),
+            (lambda: _tiny_scenario(methods=("U", 1)), "methods[1]"),
+        ],
+        ids=["name-int", "redraw-string", "methods-list", "alpha-string", "variance-bool",
+             "variance-string", "geometric-p-string", "methods-entry-int"],
+    )
+    def test_probes(self, make, name):
+        # each ran other than as written, or failed with a bare comparison error
+        with pytest.raises(TypeError, match="^" + re.escape(f"{name} must be ")):
+            make()
 
 
 class TestRunScenario:
