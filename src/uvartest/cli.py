@@ -251,15 +251,26 @@ def _cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs, or a ValueError naming a
+    key that it repeats: the JSON reader would keep the last value alone."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_scenario(source: str):
     if source in PRESET_NAMES:
         return preset(source)
     if os.path.exists(source):
         try:
             with open(source, encoding="utf-8") as fh:
-                config = json.load(fh)
+                config = json.load(fh, object_pairs_hook=_object)
             return scenario_from_dict(config)
-        except (OverflowError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        except ValueError as exc:  # a JSONDecodeError is a ValueError
             raise InputError(f"invalid scenario config {source}: {exc}") from exc
     raise InputError(
         f"{source!r} is neither a preset ({', '.join(PRESET_NAMES)}) nor a config file"

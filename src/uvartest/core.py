@@ -678,19 +678,24 @@ def _field_kinds(cls: type) -> tuple[tuple[str, object, tuple], ...]:
 def _of_kind(value, rule: tuple, name: str):
     """``value`` as a field ``name`` with the ``rule`` of its annotation
     stores it, or a TypeError naming ``name``: an ``int`` by
-    :func:`_integer`; a ``float`` any real number but a bool, as given; a
-    tuple of X with each entry checked as an X and named by its index; any
-    other value as given if it is an instance of the annotation (or of a
-    member of the union)."""
+    :func:`_integer`; a ``float`` any real number but a bool that converts
+    to a float, as given; a tuple of X with each entry checked as an X and
+    named by its index; any other value as given if it is an instance of
+    the annotation (or of a member of the union).  A value whose own class
+    the rule names passes at once, a float among them."""
     types, entry = rule
     if types is None:
         return _integer(value, name)
-    if type(value) in types or isinstance(value, types) and (bool in types or not isinstance(value, bool)):
-        if entry is None:
-            return value
-        return tuple([_of_kind(v, entry, f"{name}[{i}]") for i, v in enumerate(value)])
-    what = " or ".join(_NAMES.get(t, f"a {t.__name__}") for t in types if t is not numbers.Real)
-    raise TypeError(f"{name} must be {what}, got {value!r}")
+    if type(value) not in types:
+        if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+            what = " or ".join(_NAMES.get(t, f"a {t.__name__}") for t in types if t is not numbers.Real)
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        if numbers.Real in types:  # an int or a fraction may lie beyond the float range
+            try:
+                float(value)
+            except OverflowError:
+                raise TypeError(f"{name} must be a real number within the float range") from None
+    return value if entry is None else tuple([_of_kind(v, entry, f"{name}[{i}]") for i, v in enumerate(value)])
 
 
 def _check_fields(obj) -> None:

@@ -200,19 +200,17 @@ class NoiseSpec:
         _check_fields(self)
         if not (math.isfinite(self.target_variance) and self.target_variance >= 0):
             raise ValueError("target_variance must be finite and nonnegative")
+        scaled = self.family is NoiseFamily.SCALED_T
         if self.family is NoiseFamily.NORMAL:
             if self.df is not None or self.skew is not None:
                 raise ValueError("normal noise takes no shape parameters")
-        elif self.family is NoiseFamily.SCALED_T:
-            if self.df is None or not 2 < self.df < math.inf:
-                raise ValueError(f"scaled-t noise needs a finite df > 2, got {self.df!r}")
+        elif self.df is None or not 2 < self.df < math.inf:
+            raise ValueError(f"{'scaled-t' if scaled else 'skew-t'} noise needs a finite df > 2, got {self.df!r}")
+        elif scaled:
             if self.skew is not None:
                 raise ValueError("scaled-t noise takes no asymmetry parameter")
-        else:
-            if self.df is None or not 2 < self.df < math.inf:
-                raise ValueError(f"skew-t noise needs a finite df > 2, got {self.df!r}")
-            if self.skew is None or not math.isfinite(self.skew):
-                raise ValueError(f"skew-t noise needs a finite skew, got {self.skew!r}")
+        elif self.skew is None or not math.isfinite(self.skew):
+            raise ValueError(f"skew-t noise needs a finite skew, got {self.skew!r}")
 
     def with_variance(self, target_variance: float) -> "NoiseSpec":
         """Same family and shape, different variance."""

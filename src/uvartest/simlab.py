@@ -32,6 +32,7 @@ Every run of a scenario gives bit-identical results.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -40,7 +41,7 @@ import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -647,104 +648,101 @@ def preset(name: str) -> ScenarioSpec:
 # --------------------------------------------------------------------------
 
 _JSON_TYPES = {str: "a string", list: "an array", Mapping: "an object"}
-# The keys of each config entry; a design's are "kind" and its class's fields.
-_SCENARIO_KEYS = ("name", "designs", "redraw_design_per_replicate", "b", "e", "mu", "sigma_b2_grid",
-                  "alpha", "replicates", "seed", "methods", "n_perm")
-_NOISE_KEYS = ("family", "variance", "df", "skew")
-_SEED_KEYS = ("master_seed", "stream_id")
+# Config keys that differ from the names of the fields they set; every other
+# key is its field's name, and a design also takes the key "kind".
+_KEYS = {"design_gens": "designs", "b_spec": "b", "e_spec": "e", "target_variance": "variance"}
+# Defaults of the fields that a config may leave out though their class has none.
+_DEFAULTS = {"name": "custom", "redraw_design_per_replicate": False, "mu": 0.0, "alpha": 0.05,
+             "replicates": 10_000, "seed": SeedSpec(0), "master_seed": 0}
 
 
 def _typed(value, kind: type, name: str, key: str | None = None):
     """``value`` (field ``key`` of the config entry ``name``, or the entry
     itself) read as type ``kind``.  A string, an array or an object must be
     one, or a ValueError names both.  An integer read as a float becomes a
-    float, and an integral float such as 3.0 read as an int an int; the
-    class that the entry builds checks every other type."""
+    float unless it lies beyond the float range, and an integral float such
+    as 3.0 read as an int an int; the class that the entry builds checks
+    every other type."""
     if kind in _JSON_TYPES and not isinstance(value, kind):
         what = "" if key is None else f" {key!r}"
         raise ValueError(f"{name}:{what} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     if kind is float and type(value) is int:
-        return float(value)
+        with contextlib.suppress(OverflowError):
+            return float(value)
     return int(value) if kind is int and isinstance(value, float) and value.is_integer() else value
-
-
-def _read(entry: Mapping, key: str, kind: type, name: str, default=MISSING):
-    """Field ``key`` of the config entry ``name``, read as type ``kind`` by
-    :func:`_typed`.  A missing key takes ``default`` and is an error without one; a key whose
-    default is null may be null."""
-    if key not in entry or (entry[key] is None and default is None):
-        if default is MISSING:
-            raise ValueError(f"{name}: missing key {key!r}")
-        return default
-    return _typed(entry[key], kind, name, key)
-
-
-def _known(entry: Mapping, keys: Sequence[str], name: str) -> Mapping:
-    """The config entry ``name``, or a ValueError naming the first of its
-    keys outside ``keys``: a misspelled key would otherwise run a study
-    with its default."""
-    for key in entry:
-        if key not in keys:
-            raise ValueError(f"{name}: unknown key {key!r}; expected one of {sorted(keys)}")
-    return entry
 
 
 def _build(entry: str, make, /, *args, **kwargs):
     """``make(*args, **kwargs)``, with a TypeError or ValueError it raises
-    as a ValueError prefixed by the name of the config entry, as the readers
-    above prefix theirs."""
+    as a ValueError prefixed by the name of the config entry, as the other
+    readers prefix theirs."""
     try:
         return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{entry}: {exc}") from None
 
 
-def _design_gen_from_dict(entry, name: str) -> DesignGen:
-    """A design generator from the fields of the class its ``kind`` names."""
-    kind = _read(_typed(entry, Mapping, name), "kind", str, name)
-    if kind not in _DESIGN_KINDS:
-        raise ValueError(
-            f"{name}: unknown design kind {kind!r}; expected one of {sorted(_DESIGN_KINDS)}"
-        )
-    cls = _DESIGN_KINDS[kind]
-    _known(entry, ("kind", *(f.name for f in fields(cls))), name)
-    defaults = [f.default for f in fields(cls)]
-    args = [_read(entry, key, t, name, d) for (key, t, _), d in zip(_field_kinds(cls), defaults)]
+def _design_class(entry, name: str) -> type:
+    """The design class that the ``kind`` of the config entry ``name`` names."""
+    if "kind" not in _typed(entry, Mapping, name):
+        raise ValueError(f"{name}: missing key 'kind'")
+    if (kind := _typed(entry["kind"], str, name, "kind")) not in _DESIGN_KINDS:
+        raise ValueError(f"{name}: unknown design kind {kind!r}; expected one of {sorted(_DESIGN_KINDS)}")
+    return _DESIGN_KINDS[kind]
+
+
+def _value(value, kind, name: str, key: str):
+    """The value of key ``key`` of the config entry ``name``, read as the
+    field annotation ``kind``: a noise or seed spec from its own entry,
+    named ``key``; a noise family from its name; a tuple from an array,
+    each design from the class its ``kind`` names and each float entry by
+    :func:`_typed`; any other value by :func:`_typed`."""
+    if kind is SeedSpec and not isinstance(value, Mapping):
+        value = {"master_seed": value}  # a bare integer is the master seed
+    if kind in (NoiseSpec, SeedSpec):
+        return _from_config(kind, _typed(value, Mapping, name, key), key)
+    if kind is NoiseFamily:
+        return _build(name, NoiseFamily, _typed(value, str, name, key))
+    if get_origin(kind) is not tuple:
+        return _typed(value, float if float in get_args(kind) else kind, name, key)
+    of, entries = get_args(kind)[0], enumerate(_typed(value, list, name, key))
+    if of is DesignGen:
+        return tuple(_from_config(_design_class(v, f"{key}[{i}]"), v, f"{key}[{i}]") for i, v in entries)
+    return tuple(_typed(v, float, name) if of is float else v for _, v in entries)
+
+
+def _from_config(cls: type, entry, name: str):
+    """An instance of the spec class ``cls`` from the config entry ``name``,
+    field by field in the class's order.  A field's key is its name, or its
+    ``_KEYS`` name; a missing key takes the field's default, from the class
+    or from ``_DEFAULTS``, and is an error without one; a key whose default
+    is null may be null.  Each value is read by :func:`_value`.  A key that
+    names no field raises a ValueError: a misspelled key would otherwise run
+    a study with its default."""
+    keys = [_KEYS.get(f.name, f.name) for f in fields(cls)] + (["kind"] if hasattr(cls, "kind") else [])
+    for key in _typed(entry, Mapping, name):
+        if key not in keys:
+            raise ValueError(f"{name}: unknown key {key!r}; expected one of {sorted(keys)}")
+    args = []
+    for key, f, (_, kind, _) in zip(keys, fields(cls), _field_kinds(cls)):
+        default = _DEFAULTS.get(f.name, f.default)
+        if key in entry and not (entry[key] is None and default is None):
+            args.append(_value(entry[key], kind, name, key))
+        elif default is MISSING:
+            raise ValueError(f"{name}: missing key {key!r}")
+        else:
+            args.append(default)
     return _build(name, cls, *args)
 
 
-def _noise_spec_from_dict(entry: Mapping, name: str) -> NoiseSpec:
-    """A noise spec from its config keys, which name NoiseSpec's fields in
-    order; each shape key takes its field's default."""
-    family = _build(name, NoiseFamily, _read(_known(entry, _NOISE_KEYS, name), "family", str, name))
-    shape = [_read(entry, key, float, name, f.default) for key, f in zip(_NOISE_KEYS[1:], fields(NoiseSpec)[1:])]
-    return _build(name, NoiseSpec, family, *shape)
-
-
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
-    """Build a scenario from a parsed JSON configuration.
+    """Build a scenario from a parsed JSON configuration, by
+    :func:`_from_config`: each key is the name of a field of the class its
+    entry builds (``ScenarioSpec``, a design class, ``NoiseSpec`` or
+    ``SeedSpec``), but for ``designs``, ``b``, ``e`` and a noise's
+    ``variance``; a missing key takes the field's default, and a bare seed
+    is the master seed.
 
     An unknown key, a missing required key, a value of the wrong type or
     one its class refuses raises ValueError naming the entry."""
-    designs = _read(_known(_typed(d, Mapping, "scenario"), _SCENARIO_KEYS, "scenario"), "designs", list,
-                    "scenario")
-    design_gens = tuple(_design_gen_from_dict(g, f"designs[{i}]") for i, g in enumerate(designs))
-    seed = d.get("seed", 0)  # a bare integer is the master seed
-    seed = _known(seed if isinstance(seed, Mapping) else {"master_seed": seed}, _SEED_KEYS, "seed")
-    grid = _read(d, "sigma_b2_grid", list, "scenario")
-    return _build(
-        "scenario",
-        ScenarioSpec,
-        name=_read(d, "name", str, "scenario", "custom"),
-        design_gens=design_gens,
-        redraw_design_per_replicate=_read(d, "redraw_design_per_replicate", bool, "scenario", False),
-        b_spec=_noise_spec_from_dict(_read(d, "b", Mapping, "scenario"), "b"),
-        e_spec=_noise_spec_from_dict(_read(d, "e", Mapping, "scenario"), "e"),
-        mu=_read(d, "mu", float, "scenario", 0.0),
-        sigma_b2_grid=tuple(_typed(v, float, "scenario") for v in grid),
-        alpha=_read(d, "alpha", float, "scenario", 0.05),
-        replicates=_read(d, "replicates", int, "scenario", 10_000),
-        seed=_build("seed", SeedSpec, *(_read(seed, key, int, "seed", 0) for key in _SEED_KEYS)),
-        methods=tuple(_read(d, "methods", list, "scenario", ["U"])),
-        n_perm=_read(d, "n_perm", int, "scenario", 199),
-    )
+    return _from_config(ScenarioSpec, d, "scenario")

@@ -667,6 +667,10 @@ class TestCmdSimulate:
             # repeated cells would share their table keys
             ({**SMALL_CONFIG, "designs": [{"kind": "balanced", "k": 10, "m": 5}] * 2}, "scenario"),
             ({**SMALL_CONFIG, "sigma_b2_grid": [0, 0, 0.5]}, "scenario"),
+            # integers beyond the float range
+            ({**SMALL_CONFIG, "mu": 10**400}, "scenario"),
+            ({**SMALL_CONFIG, "sigma_b2_grid": [0, 10**400]}, "scenario"),
+            ({**SMALL_CONFIG, "e": {"family": "scaled_t", "df": 10**400}}, "e"),
         ],
         ids=[
             "float-seed",
@@ -691,6 +695,9 @@ class TestCmdSimulate:
             "methods-repeated",
             "design-repeated",
             "grid-repeated",
+            "mu-beyond-float",
+            "grid-beyond-float",
+            "df-beyond-float",
         ],
     )
     def test_config_of_the_wrong_shape_exits_2(self, config, entry, tmp_path, capsys):
@@ -739,6 +746,22 @@ class TestCmdSimulate:
         assert code == EXIT_INPUT_ERROR and out == ""
         assert err.startswith(f"error: invalid scenario config {path}: {entry}: ")
         assert f"needs a finite {name}" in err
+
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [
+            (json.dumps(SMALL_CONFIG)[:-1] + ', "replicates": 3}', "replicates"),
+            (json.dumps(SMALL_CONFIG).replace('"k": 3', '"k": 3, "k": 4'), "k"),
+        ],
+        ids=["scenario", "design"],
+    )
+    def test_repeated_key_is_named(self, text, key, tmp_path, capsys):
+        """The JSON reader would keep the last of the two values alone."""
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, "simulate", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == f"error: invalid scenario config {path}: repeated key {key!r}\n"
 
     def test_missing_design_field_is_named(self, tmp_path, capsys):
         path = tmp_path / "k.json"

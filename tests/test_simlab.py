@@ -3,12 +3,13 @@ rejection-table serialization."""
 
 import io
 import itertools
+import json
 import math
 import pickle
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
@@ -240,9 +241,14 @@ class TestFieldTypes:
             (lambda: NoiseSpec(NoiseFamily.NORMAL, "1"), "target_variance"),
             (lambda: ShiftedGeometric(4, "0.3"), "p"),
             (lambda: _tiny_scenario(methods=("U", 1)), "methods[1]"),
+            # an int beyond the float range is no float
+            (lambda: NoiseSpec(NoiseFamily.SCALED_T, 1.0, df=10**400), "df"),
+            (lambda: replace(_tiny_scenario(), sigma_b2_grid=(10**400,)), "sigma_b2_grid[0]"),
+            (lambda: _tiny_scenario(mu=10**400), "mu"),
         ],
         ids=["name-int", "redraw-string", "methods-list", "alpha-string", "variance-bool",
-             "variance-string", "geometric-p-string", "methods-entry-int"],
+             "variance-string", "geometric-p-string", "methods-entry-int", "df-beyond-float",
+             "grid-beyond-float", "mu-beyond-float"],
     )
     def test_probes(self, make, name):
         # each ran other than as written, or failed with a bare comparison error
@@ -1299,7 +1305,40 @@ class TestRejectionTableSerialization:
         assert "k=4 F" in lines[0]
 
 
+# Config keys that differ from the names of the fields they set.
+_CONFIG_KEYS = {"design_gens": "designs", "b_spec": "b", "e_spec": "e", "target_variance": "variance"}
+
+
+def _config(value):
+    """The JSON config of a spec, as README's config paragraph lays it out:
+    an object of its fields by key, with a design's ``kind``, an array for a
+    tuple and a noise family's name."""
+    if is_dataclass(value):
+        entry = {_CONFIG_KEYS.get(f.name, f.name): _config(getattr(value, f.name)) for f in fields(value)}
+        return {"kind": value.kind, **entry} if hasattr(value, "kind") else entry
+    if isinstance(value, tuple):
+        return [_config(v) for v in value]
+    return value.value if isinstance(value, NoiseFamily) else value
+
+
 class TestScenarioFromDict:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_reads_every_field_of_a_preset(self, name):
+        """The presets hold every field of every spec class, all three design
+        kinds and all three noise families; the fields they leave at the
+        reader's defaults are moved off them."""
+        spec = preset(name)
+        spec = replace(spec, b_spec=spec.b_spec.with_variance(0.5), alpha=0.01, replicates=7,
+                       seed=SeedSpec(3, 4), n_perm=19)
+        assert scenario_from_dict(json.loads(json.dumps(_config(spec)))) == spec
+
+    def test_reads_readme_example(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        spec = scenario_from_dict(json.loads(example))
+        assert (spec.name, spec.replicates, spec.seed) == ("tiny", 2000, SeedSpec(11))
+        assert [gen.kind for gen in spec.design_gens] == ["balanced", "geometric"]
+
     def test_minimal_config(self):
         spec = scenario_from_dict(
             {
